@@ -10,23 +10,13 @@ if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
   # sequence on every build: GCC's default (-ffp-contract=fast) may fuse a
   # mul+add into an FMA wherever the target ISA has one, which rounds once
   # instead of twice and silently changes bits between -march levels. The
-  # hardware tier (support/simd.h) relies on scalar and vector code running
-  # the identical IEEE sequence, so contraction is off everywhere.
+  # lane-blocked kernels (support/simd.h) rely on every build running the
+  # identical IEEE sequence, however the compiler vectorizes it, so
+  # contraction is off everywhere.
   target_compile_options(rumor_build_flags INTERFACE -ffp-contract=off)
   if(RUMOR_WERROR)
     target_compile_options(rumor_build_flags INTERFACE -Werror)
   endif()
-endif()
-
-# SIMD tier selection for support/simd.h: "auto" uses whatever the -march
-# level provides (AVX2 > SSE2 > NEON > scalar), "scalar" pins the portable
-# fallback — the CI cross-check leg that proves the vector tiers reproduce
-# the scalar records bit for bit.
-set(RUMOR_SIMD "auto" CACHE STRING "SIMD tier: auto or scalar")
-if(RUMOR_SIMD STREQUAL "scalar")
-  target_compile_definitions(rumor_build_flags INTERFACE RUMOR_FORCE_SCALAR_SIMD=1)
-elseif(NOT RUMOR_SIMD STREQUAL "auto")
-  message(FATAL_ERROR "RUMOR_SIMD must be 'auto' or 'scalar', got '${RUMOR_SIMD}'")
 endif()
 
 # Optional sanitizers: -DSANITIZE=address,undefined or -DSANITIZE=thread.

@@ -36,8 +36,7 @@ from compare_bench import load_summaries  # noqa: E402
 
 def load_microbenches(path):
     """Per-benchmark microbench cells from the {"record":"microbench"} lines
-    run_bench.sh records (google-benchmark output, one line per benchmark —
-    including the scalar-vs-vector kernel pairs of bench_simd_kernels).
+    run_bench.sh records (google-benchmark output, one line per benchmark).
     Throughput is items_per_second when the benchmark reports a rate, else
     inverse wall time; both are bigger-is-better, which is all the trend
     rendering and the REGRESSED annotation assume. Keys are disjoint from

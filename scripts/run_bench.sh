@@ -7,13 +7,12 @@
 #     manifest (build id included) and wall-clock elapsed_seconds;
 #   * "scenario_matrix"    — bench_scenario_matrix --json: registry-wide
 #     jump-engine throughput, one row per catalog scenario;
-#   * "hw_info"            — `rumor_cli hwinfo`: the compiled SIMD tier and
-#     lane width plus the host's hardware thread count, so every snapshot
-#     names the machine class that produced it (a flat thread curve on a
-#     1-vCPU container reads as exactly that, not as a scaling bug);
-#   * "microbench"         — bench_engine_throughput and bench_simd_kernels
-#     (google-benchmark) converted to one record per benchmark, when the
-#     binaries exist.
+#   * "hw_info"            — `rumor_cli hwinfo`: the host's hardware thread
+#     count, sanitizer and build id, so every snapshot names the machine
+#     class that produced it (a flat thread curve on a 1-vCPU container reads
+#     as exactly that, not as a scaling bug);
+#   * "microbench"         — bench_engine_throughput (google-benchmark)
+#     converted to one record per benchmark, when the binary exists.
 #
 # Usage: scripts/run_bench.sh [OUTPUT.json]     (default BENCH_3.json)
 #   BUILD_DIR=build-release scripts/run_bench.sh    # alternate build tree
@@ -46,14 +45,14 @@ fi
 # microbenches entirely).
 if [[ "$MATRIX" != scale* && "$MATRIX" != shard ]] &&
    cmake --build "$BUILD_DIR" --target help 2>/dev/null | grep -q bench_engine_throughput; then
-  cmake --build "$BUILD_DIR" --target bench_engine_throughput bench_simd_kernels -j"$(nproc)"
+  cmake --build "$BUILD_DIR" --target bench_engine_throughput -j"$(nproc)"
 fi
 
 cli="$BUILD_DIR/tools/rumor_cli"
 : > "$OUT"
 
-# Lead every snapshot with the hw_info record (SIMD tier, lane width, thread
-# budget) so the summary/perf_counters lines below it can be interpreted
+# Lead every snapshot with the hw_info record (thread budget, sanitizer,
+# build id) so the summary/perf_counters lines below it can be interpreted
 # against the machine class — the companion of the perf_counters record.
 "$cli" hwinfo >> "$OUT"
 
@@ -214,18 +213,10 @@ fi
 if [[ "$MATRIX" != scale* && "$MATRIX" != shard ]]; then
   tmp=$(mktemp)
   trap 'rm -f "$tmp"' EXIT
-  for bench in bench_engine_throughput bench_simd_kernels; do
-    [ -x "$BUILD_DIR/bench/$bench" ] || continue
-    case "$bench" in
-      bench_engine_throughput)
-        filter='JumpEngine|TickEngine|SyncEngine|BlockRates|Fenwick|Topology|EdgeMarkovianStep' ;;
-      # Every hardware-tier kernel, simd and ref legs both, so the trend
-      # table tracks the speedup pair per cell (scripts/bench_trend.py).
-      bench_simd_kernels)
-        filter='SimdKernel' ;;
-    esac
-    "$BUILD_DIR/bench/$bench" \
-      --benchmark_filter="$filter" \
+  bench="$BUILD_DIR/bench/bench_engine_throughput"
+  if [ -x "$bench" ]; then
+    "$bench" \
+      --benchmark_filter='JumpEngine|TickEngine|SyncEngine|BlockRates|Fenwick|Topology|EdgeMarkovianStep' \
       --benchmark_format=json > "$tmp" 2>/dev/null
     python3 - "$tmp" >> "$OUT" <<'EOF'
 import json
@@ -241,7 +232,7 @@ for b in data.get("benchmarks", []):
         "items_per_second": b.get("items_per_second"),
     }, separators=(",", ":")))
 EOF
-  done
+  fi
 fi
 
 echo "wrote $OUT ($(grep -c '"record":"summary"' "$OUT") summary records," \

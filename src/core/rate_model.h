@@ -50,7 +50,7 @@
 namespace rumor {
 
 // r(v) for an uninformed node v: the race of independent exponentials over
-// its crossing edges. A thin adapter over the hardware tier's per-node
+// its crossing edges. A thin adapter over the lane-blocked per-node
 // kernel; every call site — rebuild gather, sparse rebuild, delta refresh —
 // goes through here, which is the cornerstone of their bit-identity.
 inline double crossing_rate(const CsrView& csr, const Bitset& informed,

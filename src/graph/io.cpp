@@ -3,6 +3,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "support/contracts.h"
 
@@ -14,6 +15,12 @@ void write_edge_list(std::ostream& os, const Graph& g) {
 }
 
 namespace {
+
+// True when only whitespace is left on the line.
+bool at_line_end(std::istringstream& ss) {
+  ss >> std::ws;
+  return ss.eof();
+}
 
 // Reads one edge-list block; stops at EOF or a "--" separator (consumed).
 // Returns false if the stream held no block at all.
@@ -32,14 +39,15 @@ bool read_block(std::istream& is, NodeId& n, std::vector<Edge>& edges, bool& saw
     saw_any = true;
     std::istringstream ss(line);
     if (line[0] == 'n') {
-      char tag = 0;
+      std::string tag;
       ss >> tag >> n;
-      DG_REQUIRE(n >= 0, "invalid node count in edge list");
+      DG_REQUIRE(tag == "n" && !ss.fail() && n >= 0 && at_line_end(ss),
+                 "malformed edge-list header (want 'n <count>'): " + line);
       continue;
     }
     NodeId u = 0, v = 0;
     ss >> u >> v;
-    DG_REQUIRE(!ss.fail(), "malformed edge line: " + line);
+    DG_REQUIRE(!ss.fail() && at_line_end(ss), "malformed edge line: " + line);
     edges.push_back({u, v});
   }
   return saw_any;

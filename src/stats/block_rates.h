@@ -13,9 +13,9 @@
 // to the last positive-rate entry, mirroring FenwickTree::sample.
 //
 // Every multi-term resum — per-block, per-superblock, and the total — runs
-// through simd::lane_sum, the hardware tier's lane-blocked summation kernel
+// through simd::lane_sum, the lane-blocked summation kernel
 // (support/simd.h), so assign(), assign_tiled() and refresh_entries() share
-// one bit-exact summation order on every SIMD tier.
+// one bit-exact summation order on every build.
 #pragma once
 
 #include <algorithm>
@@ -188,26 +188,20 @@ class BlockRates {
     total_ = 0.0;
   }
 
-  // Copies one entry range and sums its blocks/superblocks, all through the
-  // lane-blocked kernels. The copy doubles as the non-negativity check: a
-  // violation mask accumulates across the vector groups, and only when it
-  // fires does a scalar rescan name the offending entry. `begin` must be
-  // superblock-aligned so concurrent tiles never share a partial sum.
+  // Copies one entry range and sums its blocks/superblocks through the
+  // lane-blocked kernel. The copy doubles as the non-negativity check: a
+  // branch-free violation flag accumulates across the copy (!(x >= 0) also
+  // catches NaN), and only when it fires does a rescan name the offending
+  // entry. `begin` must be superblock-aligned so concurrent tiles never share
+  // a partial sum.
   void fill_tile(std::span<const double> rates, std::size_t begin, std::size_t end) {
     DG_ASSERT(begin % kSuper == 0, "tile start must be superblock-aligned");
-    simd::Vec8d bad = simd::vzero();
-    std::size_t i = begin;
-    for (; i + 8 <= end; i += 8) {
-      const simd::Vec8d x = simd::vload(rates.data() + i);
-      bad = simd::vor(bad, simd::vnonneg_violation(x));
-      simd::vstore(rate_.data() + i, x);
-    }
-    bool tail_bad = false;
-    for (; i < end; ++i) {
-      tail_bad = tail_bad || !(rates[i] >= 0.0);
+    bool bad = false;
+    for (std::size_t i = begin; i < end; ++i) {
+      bad |= !(rates[i] >= 0.0);
       rate_[i] = rates[i];
     }
-    if (simd::vany(bad) || tail_bad) {
+    if (bad) {
       for (std::size_t j = begin; j < end; ++j) {
         DG_REQUIRE(rates[j] >= 0.0, "rates must be non-negative");
       }

@@ -9,8 +9,8 @@ namespace rumor {
 
 // The exponential/geometric inverse-CDF samplers run on simd::portable_log,
 // not std::log: uniform_positive() ∈ [2^-53, 1] is exactly its domain, it is
-// bitwise identical between the scalar call here and the vectorized block
-// transform in ExponentialBlock::refill, and it removes the platform libm
+// bitwise identical between the per-event call here and the block transform
+// in ExponentialBlock::refill, and it removes the platform libm
 // from the event-path record contract entirely (std::log implementations
 // differ across architectures; portable_log is one fixed IEEE sequence).
 double sample_exponential(Rng& rng, double rate) {
@@ -26,8 +26,8 @@ ExponentialBlock::ExponentialBlock(std::size_t block) : block_(block) {
 void ExponentialBlock::refill(Rng& rng) {
   buf_.resize(block_);
   // Uniforms first, in sequence (the determinism contract in the header),
-  // then one vectorized -log sweep — the abseil pool_urbg shape: bulk
-  // generation feeding a tight transform the hardware tier can pipeline.
+  // then one -log sweep — the abseil pool_urbg shape: bulk generation
+  // feeding a tight transform the compiler can pipeline.
   for (double& e : buf_) e = rng.uniform_positive();
   simd::negative_log_transform(buf_.data(), buf_.size());
   pos_ = 0;
@@ -82,8 +82,8 @@ std::int64_t sample_geometric(Rng& rng, double p) {
   DG_REQUIRE(p > 0.0 && p <= 1.0, "geometric parameter must lie in (0,1]");
   if (p == 1.0) return 0;
   // Inverse CDF: floor(log(U) / log(1-p)). The U transform shares the
-  // hardware tier's portable log; log1p of the fixed parameter stays on libm
-  // (one call per sample, not per-U, and log1p has no vector tier).
+  // portable log of support/simd.h; log1p of the fixed parameter stays on
+  // libm.
   return static_cast<std::int64_t>(std::floor(simd::portable_log(rng.uniform_positive()) /
                                               std::log1p(-p)));
 }

@@ -18,10 +18,10 @@ double sample_exponential(Rng& rng, double rate);
 //
 // The async engines consume one exponential per event; drawing them a block at
 // a time turns the per-event uniform+log into a bulk refill whose -log(U)
-// sweep runs on the hardware tier's vectorized portable log (support/simd.h).
+// sweep runs on the portable log of support/simd.h.
 // Determinism contract: a refill draws `block` uniforms from the caller's Rng
-// in sequence and next() hands them back in that same order, and the vector
-// log is bitwise identical to the scalar portable_log per-event path, so the
+// in sequence and next() hands them back in that same order, and the sweep
+// applies the same portable_log as the per-event path, so the
 // variate *stream* is identical to per-event sample_exponential(rng, 1.0)
 // calls — only the interleaving with other draws from the same Rng shifts,
 // which is why the jump/tick engines' per-seed trajectories changed (and their

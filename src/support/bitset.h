@@ -53,8 +53,8 @@ class Bitset {
   }
 
   // The raw 64-bit words (bit i of the set is bit i%64 of word i/64): the
-  // SIMD crossing-rate kernel builds its informed masks straight from these,
-  // and the sparse-rebuild walk scans them with find-first-set.
+  // crossing-rate kernel (support/simd.h) reads its informed masks straight
+  // from these, and the sparse-rebuild walk scans them with find-first-set.
   std::span<const std::uint64_t> words() const { return words_; }
 
   // Population count; O(n/64).

@@ -1,35 +1,21 @@
-// The hardware tier: a portable 8-lane vector wrapper and the hot-loop
-// kernels built on it (docs/ARCHITECTURE.md §"The hardware tier").
+// Lane-blocked arithmetic: the hot-loop kernels whose summation order the
+// golden fingerprints pin (docs/ARCHITECTURE.md §"Lane-blocked arithmetic").
 //
-// Every kernel here is *bit-deterministic across instruction sets*. The trick
-// is a fixed logical width: Vec8d always models 8 double lanes — two __m256d
-// on AVX2, four __m128d on SSE2, four float64x2_t on NEON, a plain double[8]
-// on anything else — and every multi-term sum uses the same *lane-blocked*
-// order: element k accumulates into lane k mod 8, and the 8 lane totals
-// collapse through one fixed reduction tree
+// Every kernel here is *bit-deterministic across instruction sets*. Each
+// multi-term sum uses the same lane-blocked order: element k accumulates into
+// accumulator k mod 8, and the 8 accumulators collapse through one fixed
+// reduction tree
 //
 //     ((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))
 //
-// Since IEEE-754 addition, multiplication and division are exactly rounded,
-// identical per-lane operation sequences produce identical bits on every
-// backend; the only way a backend could diverge is a *different* sequence
-// (e.g. fused multiply-adds), which the build forbids globally with
-// -ffp-contract=off (cmake/BuildFlags.cmake). Short inputs are padded with
-// +0.0 lanes, a bitwise no-op because every accumulator starts at +0.0 and
-// the summands are non-negative (x + 0.0 == x, and +0.0 + ±0.0 == +0.0 under
-// round-to-nearest), so the tail path needs no separate ordering argument.
-//
-// The simd::ref namespace holds plain scalar implementations of the same
-// canonical orders; tests/test_simd.cpp asserts vector == ref bitwise on
-// every build, and the CI -march matrix (x86-64 baseline, AVX2, forced
-// scalar) replays the golden fingerprints on each tier.
-//
-// Adding an ISA = one more #elif block defining Vec8d, the primitive ops,
-// reduce(), and log_positive() with the documented operation sequence; the
-// kernels and tests are tier-agnostic.
-//
-// RUMOR_FORCE_SCALAR_SIMD (cmake -DRUMOR_SIMD=scalar) pins the scalar tier
-// regardless of what the target ISA offers — the cross-check leg.
+// IEEE-754 addition, multiplication and division are exactly rounded, so a
+// fixed operation sequence yields identical bits whether the compiler emits
+// scalar or vector instructions for it. The one way the bits could move
+// between -march levels is a *different* sequence (fused multiply-adds),
+// which the build forbids globally with -ffp-contract=off
+// (cmake/BuildFlags.cmake). The order, not the instruction set, is the
+// contract; tests/test_simd.cpp pins it with inputs a sequential running sum
+// would round differently.
 #pragma once
 
 #include <bit>
@@ -37,23 +23,7 @@
 #include <cstdint>
 #include <span>
 
-#if !defined(RUMOR_FORCE_SCALAR_SIMD) && defined(__AVX2__)
-#define RUMOR_SIMD_AVX2 1
-#include <immintrin.h>
-#elif !defined(RUMOR_FORCE_SCALAR_SIMD) && defined(__SSE2__)
-#define RUMOR_SIMD_SSE2 1
-#include <emmintrin.h>
-#elif !defined(RUMOR_FORCE_SCALAR_SIMD) && defined(__aarch64__)
-#define RUMOR_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define RUMOR_SIMD_SCALAR 1
-#endif
-
 namespace rumor::simd {
-
-// Logical lane count of every kernel, independent of the hardware width.
-inline constexpr int kLanes = 8;
 
 // fdlibm e_log constants (Sun Microsystems, freely redistributable): the
 // argument-reduction offset (the bits of sqrt(2)/2), the hi/lo split of ln 2,
@@ -70,9 +40,9 @@ inline constexpr double kLg6 = 1.531383769920937332e-01;
 inline constexpr double kLg7 = 1.479819860511658591e-01;
 
 // log(x) for positive normal x — the uniform_positive() ∈ [2^-53, 1] domain.
-// The exact operation sequence every vector backend mirrors; ~1 ulp, and
-// exactly 0.0 at x = 1. Not a general log: no zero/negative/inf/NaN/denormal
-// handling.
+// A fixed operation sequence, so the result does not depend on the platform
+// libm; ~1 ulp, and exactly 0.0 at x = 1. Not a general log: no
+// zero/negative/inf/NaN/denormal handling.
 inline double portable_log(double x) {
   const std::uint64_t ix = std::bit_cast<std::uint64_t>(x);
   // Reduce x = 2^k · z with z ∈ [√½, √2): subtracting the bits of √½ makes
@@ -91,440 +61,7 @@ inline double portable_log(double x) {
   return dk * kLn2Hi - ((hfsq - (s * (hfsq + r) + dk * kLn2Lo)) - f);
 }
 
-#if defined(RUMOR_SIMD_AVX2)
-
-inline constexpr const char* kTierName = "avx2";
-
-// Lanes 0..3 live in `a`, lanes 4..7 in `b`.
-struct Vec8d {
-  __m256d a;
-  __m256d b;
-};
-
-inline Vec8d vzero() { return {_mm256_setzero_pd(), _mm256_setzero_pd()}; }
-inline Vec8d vbroadcast(double x) { return {_mm256_set1_pd(x), _mm256_set1_pd(x)}; }
-inline Vec8d vload(const double* p) { return {_mm256_loadu_pd(p), _mm256_loadu_pd(p + 4)}; }
-inline void vstore(double* p, Vec8d x) {
-  _mm256_storeu_pd(p, x.a);
-  _mm256_storeu_pd(p + 4, x.b);
-}
-inline Vec8d vadd(Vec8d x, Vec8d y) { return {_mm256_add_pd(x.a, y.a), _mm256_add_pd(x.b, y.b)}; }
-inline Vec8d vmul(Vec8d x, Vec8d y) { return {_mm256_mul_pd(x.a, y.a), _mm256_mul_pd(x.b, y.b)}; }
-inline Vec8d vdiv(Vec8d x, Vec8d y) { return {_mm256_div_pd(x.a, y.a), _mm256_div_pd(x.b, y.b)}; }
-inline Vec8d vand(Vec8d x, Vec8d y) { return {_mm256_and_pd(x.a, y.a), _mm256_and_pd(x.b, y.b)}; }
-inline Vec8d vor(Vec8d x, Vec8d y) { return {_mm256_or_pd(x.a, y.a), _mm256_or_pd(x.b, y.b)}; }
-inline Vec8d vneg(Vec8d x) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  return {_mm256_xor_pd(x.a, sign), _mm256_xor_pd(x.b, sign)};
-}
-// All-ones lane mask where x > y.
-inline Vec8d vcmp_gt(Vec8d x, Vec8d y) {
-  return {_mm256_cmp_pd(x.a, y.a, _CMP_GT_OQ), _mm256_cmp_pd(x.b, y.b, _CMP_GT_OQ)};
-}
-// All-ones lane mask where !(x >= 0), i.e. negative or NaN.
-inline Vec8d vnonneg_violation(Vec8d x) {
-  const __m256d zero = _mm256_setzero_pd();
-  return {_mm256_cmp_pd(x.a, zero, _CMP_NGE_UQ), _mm256_cmp_pd(x.b, zero, _CMP_NGE_UQ)};
-}
-inline bool vany(Vec8d mask) {
-  return (_mm256_movemask_pd(mask.a) | _mm256_movemask_pd(mask.b)) != 0;
-}
-
-// The fixed reduction tree: a+b pairs lane j with lane j+4, the 128-bit
-// halves pair j with j+2, the final scalar add pairs j with j+1.
-inline double reduce(Vec8d x) {
-  const __m256d t = _mm256_add_pd(x.a, x.b);
-  const __m128d u = _mm_add_pd(_mm256_castpd256_pd128(t), _mm256_extractf128_pd(t, 1));
-  return _mm_cvtsd_f64(u) + _mm_cvtsd_f64(_mm_unpackhi_pd(u, u));
-}
-
-namespace detail {
-// portable_log on 4 lanes, operation for operation.
-inline __m256d log4(__m256d x) {
-  const __m256i ix = _mm256_castpd_si256(x);
-  const __m256i tmp = _mm256_sub_epi64(ix, _mm256_set1_epi64x(static_cast<long long>(kLogOff)));
-  // k = (int64)tmp >> 52. AVX2 has no 64-bit arithmetic shift, but k lives
-  // entirely in the high dword: shift the duplicated high dwords right by 20
-  // (sign-extending), then compact lanes {0,2,4,6} for the exact int32→double
-  // conversion.
-  const __m256i hi20 = _mm256_srai_epi32(_mm256_shuffle_epi32(tmp, _MM_SHUFFLE(3, 3, 1, 1)), 20);
-  const __m128i k32 = _mm256_castsi256_si128(
-      _mm256_permutevar8x32_epi32(hi20, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0)));
-  const __m256d dk = _mm256_cvtepi32_pd(k32);
-  const __m256i iz = _mm256_sub_epi64(
-      ix, _mm256_and_si256(tmp, _mm256_set1_epi64x(static_cast<long long>(0xfff0000000000000ULL))));
-  const __m256d z = _mm256_castsi256_pd(iz);
-  const __m256d f = _mm256_sub_pd(z, _mm256_set1_pd(1.0));
-  const __m256d hfsq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), f), f);
-  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
-  const __m256d ss = _mm256_mul_pd(s, s);
-  const __m256d ww = _mm256_mul_pd(ss, ss);
-  const __m256d t1 = _mm256_mul_pd(
-      ww, _mm256_add_pd(_mm256_set1_pd(kLg2),
-                        _mm256_mul_pd(ww, _mm256_add_pd(_mm256_set1_pd(kLg4),
-                                                        _mm256_mul_pd(ww, _mm256_set1_pd(kLg6))))));
-  const __m256d t2 = _mm256_mul_pd(
-      ss,
-      _mm256_add_pd(
-          _mm256_set1_pd(kLg1),
-          _mm256_mul_pd(
-              ww, _mm256_add_pd(_mm256_set1_pd(kLg3),
-                                _mm256_mul_pd(ww, _mm256_add_pd(_mm256_set1_pd(kLg5),
-                                                                _mm256_mul_pd(
-                                                                    ww, _mm256_set1_pd(kLg7))))))));
-  const __m256d r = _mm256_add_pd(t2, t1);
-  const __m256d klo = _mm256_mul_pd(dk, _mm256_set1_pd(kLn2Lo));
-  const __m256d inner = _mm256_sub_pd(hfsq, _mm256_add_pd(_mm256_mul_pd(s, _mm256_add_pd(hfsq, r)),
-                                                          klo));
-  return _mm256_sub_pd(_mm256_mul_pd(dk, _mm256_set1_pd(kLn2Hi)), _mm256_sub_pd(inner, f));
-}
-}  // namespace detail
-
-inline Vec8d log_positive(Vec8d x) { return {detail::log4(x.a), detail::log4(x.b)}; }
-
-#elif defined(RUMOR_SIMD_SSE2)
-
-inline constexpr const char* kTierName = "sse2";
-
-// Lane pair 2j, 2j+1 lives in v[j].
-struct Vec8d {
-  __m128d v[4];
-};
-
-inline Vec8d vzero() {
-  const __m128d z = _mm_setzero_pd();
-  return {{z, z, z, z}};
-}
-inline Vec8d vbroadcast(double x) {
-  const __m128d b = _mm_set1_pd(x);
-  return {{b, b, b, b}};
-}
-inline Vec8d vload(const double* p) {
-  return {{_mm_loadu_pd(p), _mm_loadu_pd(p + 2), _mm_loadu_pd(p + 4), _mm_loadu_pd(p + 6)}};
-}
-inline void vstore(double* p, Vec8d x) {
-  _mm_storeu_pd(p, x.v[0]);
-  _mm_storeu_pd(p + 2, x.v[1]);
-  _mm_storeu_pd(p + 4, x.v[2]);
-  _mm_storeu_pd(p + 6, x.v[3]);
-}
-inline Vec8d vadd(Vec8d x, Vec8d y) {
-  return {{_mm_add_pd(x.v[0], y.v[0]), _mm_add_pd(x.v[1], y.v[1]), _mm_add_pd(x.v[2], y.v[2]),
-           _mm_add_pd(x.v[3], y.v[3])}};
-}
-inline Vec8d vmul(Vec8d x, Vec8d y) {
-  return {{_mm_mul_pd(x.v[0], y.v[0]), _mm_mul_pd(x.v[1], y.v[1]), _mm_mul_pd(x.v[2], y.v[2]),
-           _mm_mul_pd(x.v[3], y.v[3])}};
-}
-inline Vec8d vdiv(Vec8d x, Vec8d y) {
-  return {{_mm_div_pd(x.v[0], y.v[0]), _mm_div_pd(x.v[1], y.v[1]), _mm_div_pd(x.v[2], y.v[2]),
-           _mm_div_pd(x.v[3], y.v[3])}};
-}
-inline Vec8d vand(Vec8d x, Vec8d y) {
-  return {{_mm_and_pd(x.v[0], y.v[0]), _mm_and_pd(x.v[1], y.v[1]), _mm_and_pd(x.v[2], y.v[2]),
-           _mm_and_pd(x.v[3], y.v[3])}};
-}
-inline Vec8d vor(Vec8d x, Vec8d y) {
-  return {{_mm_or_pd(x.v[0], y.v[0]), _mm_or_pd(x.v[1], y.v[1]), _mm_or_pd(x.v[2], y.v[2]),
-           _mm_or_pd(x.v[3], y.v[3])}};
-}
-inline Vec8d vneg(Vec8d x) {
-  const __m128d sign = _mm_set1_pd(-0.0);
-  return {{_mm_xor_pd(x.v[0], sign), _mm_xor_pd(x.v[1], sign), _mm_xor_pd(x.v[2], sign),
-           _mm_xor_pd(x.v[3], sign)}};
-}
-inline Vec8d vcmp_gt(Vec8d x, Vec8d y) {
-  return {{_mm_cmpgt_pd(x.v[0], y.v[0]), _mm_cmpgt_pd(x.v[1], y.v[1]),
-           _mm_cmpgt_pd(x.v[2], y.v[2]), _mm_cmpgt_pd(x.v[3], y.v[3])}};
-}
-inline Vec8d vnonneg_violation(Vec8d x) {
-  const __m128d zero = _mm_setzero_pd();
-  return {{_mm_cmpnge_pd(x.v[0], zero), _mm_cmpnge_pd(x.v[1], zero), _mm_cmpnge_pd(x.v[2], zero),
-           _mm_cmpnge_pd(x.v[3], zero)}};
-}
-inline bool vany(Vec8d mask) {
-  return (_mm_movemask_pd(mask.v[0]) | _mm_movemask_pd(mask.v[1]) | _mm_movemask_pd(mask.v[2]) |
-          _mm_movemask_pd(mask.v[3])) != 0;
-}
-
-// Same tree as the AVX2 backend: v[0]+v[2] pairs lane j with j+4 (lanes
-// {0,1}+{4,5}), v[1]+v[3] pairs {2,3}+{6,7}, their sum pairs j with j+2, the
-// final scalar add pairs j with j+1.
-inline double reduce(Vec8d x) {
-  const __m128d p = _mm_add_pd(x.v[0], x.v[2]);
-  const __m128d q = _mm_add_pd(x.v[1], x.v[3]);
-  const __m128d u = _mm_add_pd(p, q);
-  return _mm_cvtsd_f64(u) + _mm_cvtsd_f64(_mm_unpackhi_pd(u, u));
-}
-
-namespace detail {
-// portable_log on 2 lanes, operation for operation.
-inline __m128d log2(__m128d x) {
-  const __m128i ix = _mm_castpd_si128(x);
-  const __m128i off = _mm_set_epi64x(static_cast<long long>(kLogOff),
-                                     static_cast<long long>(kLogOff));
-  const __m128i tmp = _mm_sub_epi64(ix, off);
-  // k from the sign-extending 32-bit shift of the duplicated high dwords,
-  // compacted into lanes {0,1} for the exact int32→double conversion.
-  const __m128i hi20 = _mm_srai_epi32(_mm_shuffle_epi32(tmp, _MM_SHUFFLE(3, 3, 1, 1)), 20);
-  const __m128d dk = _mm_cvtepi32_pd(_mm_shuffle_epi32(hi20, _MM_SHUFFLE(2, 0, 2, 0)));
-  const __m128i expmask = _mm_set_epi64x(static_cast<long long>(0xfff0000000000000ULL),
-                                         static_cast<long long>(0xfff0000000000000ULL));
-  const __m128d z = _mm_castsi128_pd(_mm_sub_epi64(ix, _mm_and_si128(tmp, expmask)));
-  const __m128d f = _mm_sub_pd(z, _mm_set1_pd(1.0));
-  const __m128d hfsq = _mm_mul_pd(_mm_mul_pd(_mm_set1_pd(0.5), f), f);
-  const __m128d s = _mm_div_pd(f, _mm_add_pd(_mm_set1_pd(2.0), f));
-  const __m128d ss = _mm_mul_pd(s, s);
-  const __m128d ww = _mm_mul_pd(ss, ss);
-  const __m128d t1 = _mm_mul_pd(
-      ww, _mm_add_pd(_mm_set1_pd(kLg2),
-                     _mm_mul_pd(ww, _mm_add_pd(_mm_set1_pd(kLg4),
-                                               _mm_mul_pd(ww, _mm_set1_pd(kLg6))))));
-  const __m128d t2 = _mm_mul_pd(
-      ss, _mm_add_pd(_mm_set1_pd(kLg1),
-                     _mm_mul_pd(ww, _mm_add_pd(_mm_set1_pd(kLg3),
-                                               _mm_mul_pd(ww, _mm_add_pd(_mm_set1_pd(kLg5),
-                                                                         _mm_mul_pd(
-                                                                             ww,
-                                                                             _mm_set1_pd(
-                                                                                 kLg7))))))));
-  const __m128d r = _mm_add_pd(t2, t1);
-  const __m128d klo = _mm_mul_pd(dk, _mm_set1_pd(kLn2Lo));
-  const __m128d inner = _mm_sub_pd(hfsq, _mm_add_pd(_mm_mul_pd(s, _mm_add_pd(hfsq, r)), klo));
-  return _mm_sub_pd(_mm_mul_pd(dk, _mm_set1_pd(kLn2Hi)), _mm_sub_pd(inner, f));
-}
-}  // namespace detail
-
-inline Vec8d log_positive(Vec8d x) {
-  return {{detail::log2(x.v[0]), detail::log2(x.v[1]), detail::log2(x.v[2]),
-           detail::log2(x.v[3])}};
-}
-
-#elif defined(RUMOR_SIMD_NEON)
-
-inline constexpr const char* kTierName = "neon";
-
-// Lane pair 2j, 2j+1 lives in v[j].
-struct Vec8d {
-  float64x2_t v[4];
-};
-
-inline Vec8d vzero() {
-  const float64x2_t z = vdupq_n_f64(0.0);
-  return {{z, z, z, z}};
-}
-inline Vec8d vbroadcast(double x) {
-  const float64x2_t b = vdupq_n_f64(x);
-  return {{b, b, b, b}};
-}
-inline Vec8d vload(const double* p) {
-  return {{vld1q_f64(p), vld1q_f64(p + 2), vld1q_f64(p + 4), vld1q_f64(p + 6)}};
-}
-inline void vstore(double* p, Vec8d x) {
-  vst1q_f64(p, x.v[0]);
-  vst1q_f64(p + 2, x.v[1]);
-  vst1q_f64(p + 4, x.v[2]);
-  vst1q_f64(p + 6, x.v[3]);
-}
-inline Vec8d vadd(Vec8d x, Vec8d y) {
-  return {{vaddq_f64(x.v[0], y.v[0]), vaddq_f64(x.v[1], y.v[1]), vaddq_f64(x.v[2], y.v[2]),
-           vaddq_f64(x.v[3], y.v[3])}};
-}
-inline Vec8d vmul(Vec8d x, Vec8d y) {
-  return {{vmulq_f64(x.v[0], y.v[0]), vmulq_f64(x.v[1], y.v[1]), vmulq_f64(x.v[2], y.v[2]),
-           vmulq_f64(x.v[3], y.v[3])}};
-}
-inline Vec8d vdiv(Vec8d x, Vec8d y) {
-  return {{vdivq_f64(x.v[0], y.v[0]), vdivq_f64(x.v[1], y.v[1]), vdivq_f64(x.v[2], y.v[2]),
-           vdivq_f64(x.v[3], y.v[3])}};
-}
-namespace detail {
-inline float64x2_t bit_and(float64x2_t x, float64x2_t y) {
-  return vreinterpretq_f64_u64(vandq_u64(vreinterpretq_u64_f64(x), vreinterpretq_u64_f64(y)));
-}
-inline float64x2_t bit_or(float64x2_t x, float64x2_t y) {
-  return vreinterpretq_f64_u64(vorrq_u64(vreinterpretq_u64_f64(x), vreinterpretq_u64_f64(y)));
-}
-}  // namespace detail
-inline Vec8d vand(Vec8d x, Vec8d y) {
-  return {{detail::bit_and(x.v[0], y.v[0]), detail::bit_and(x.v[1], y.v[1]),
-           detail::bit_and(x.v[2], y.v[2]), detail::bit_and(x.v[3], y.v[3])}};
-}
-inline Vec8d vor(Vec8d x, Vec8d y) {
-  return {{detail::bit_or(x.v[0], y.v[0]), detail::bit_or(x.v[1], y.v[1]),
-           detail::bit_or(x.v[2], y.v[2]), detail::bit_or(x.v[3], y.v[3])}};
-}
-inline Vec8d vneg(Vec8d x) {
-  return {{vnegq_f64(x.v[0]), vnegq_f64(x.v[1]), vnegq_f64(x.v[2]), vnegq_f64(x.v[3])}};
-}
-inline Vec8d vcmp_gt(Vec8d x, Vec8d y) {
-  return {{vreinterpretq_f64_u64(vcgtq_f64(x.v[0], y.v[0])),
-           vreinterpretq_f64_u64(vcgtq_f64(x.v[1], y.v[1])),
-           vreinterpretq_f64_u64(vcgtq_f64(x.v[2], y.v[2])),
-           vreinterpretq_f64_u64(vcgtq_f64(x.v[3], y.v[3]))}};
-}
-inline Vec8d vnonneg_violation(Vec8d x) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  // !(x >= 0): complement of the ordered comparison, so NaN lanes flag too.
-  auto nge = [&](float64x2_t a) {
-    return vreinterpretq_f64_u64(
-        veorq_u64(vcgeq_f64(a, zero), vdupq_n_u64(~std::uint64_t{0})));
-  };
-  return {{nge(x.v[0]), nge(x.v[1]), nge(x.v[2]), nge(x.v[3])}};
-}
-inline bool vany(Vec8d mask) {
-  const uint64x2_t m = vorrq_u64(
-      vorrq_u64(vreinterpretq_u64_f64(mask.v[0]), vreinterpretq_u64_f64(mask.v[1])),
-      vorrq_u64(vreinterpretq_u64_f64(mask.v[2]), vreinterpretq_u64_f64(mask.v[3])));
-  return (vgetq_lane_u64(m, 0) | vgetq_lane_u64(m, 1)) != 0;
-}
-
-// Identical tree to the SSE2 backend (same lane layout).
-inline double reduce(Vec8d x) {
-  const float64x2_t p = vaddq_f64(x.v[0], x.v[2]);
-  const float64x2_t q = vaddq_f64(x.v[1], x.v[3]);
-  const float64x2_t u = vaddq_f64(p, q);
-  return vgetq_lane_f64(u, 0) + vgetq_lane_f64(u, 1);
-}
-
-namespace detail {
-// portable_log on 2 lanes, operation for operation. NEON has native 64-bit
-// arithmetic shifts and int64→double conversion, so the exponent extraction
-// is direct; the conversions are exact, matching the other backends' route
-// through int32.
-inline float64x2_t log2(float64x2_t x) {
-  const int64x2_t ix = vreinterpretq_s64_f64(x);
-  const int64x2_t tmp = vsubq_s64(ix, vdupq_n_s64(static_cast<std::int64_t>(kLogOff)));
-  const float64x2_t dk = vcvtq_f64_s64(vshrq_n_s64(tmp, 52));
-  const int64x2_t iz =
-      vsubq_s64(ix, vandq_s64(tmp, vdupq_n_s64(static_cast<std::int64_t>(0xfff0000000000000ULL))));
-  const float64x2_t z = vreinterpretq_f64_s64(iz);
-  const float64x2_t f = vsubq_f64(z, vdupq_n_f64(1.0));
-  const float64x2_t hfsq = vmulq_f64(vmulq_f64(vdupq_n_f64(0.5), f), f);
-  const float64x2_t s = vdivq_f64(f, vaddq_f64(vdupq_n_f64(2.0), f));
-  const float64x2_t ss = vmulq_f64(s, s);
-  const float64x2_t ww = vmulq_f64(ss, ss);
-  const float64x2_t t1 = vmulq_f64(
-      ww, vaddq_f64(vdupq_n_f64(kLg2),
-                    vmulq_f64(ww, vaddq_f64(vdupq_n_f64(kLg4), vmulq_f64(ww, vdupq_n_f64(kLg6))))));
-  const float64x2_t t2 = vmulq_f64(
-      ss,
-      vaddq_f64(vdupq_n_f64(kLg1),
-                vmulq_f64(ww, vaddq_f64(vdupq_n_f64(kLg3),
-                                        vmulq_f64(ww, vaddq_f64(vdupq_n_f64(kLg5),
-                                                                vmulq_f64(ww,
-                                                                          vdupq_n_f64(kLg7))))))));
-  const float64x2_t r = vaddq_f64(t2, t1);
-  const float64x2_t klo = vmulq_f64(dk, vdupq_n_f64(kLn2Lo));
-  const float64x2_t inner = vsubq_f64(hfsq, vaddq_f64(vmulq_f64(s, vaddq_f64(hfsq, r)), klo));
-  return vsubq_f64(vmulq_f64(dk, vdupq_n_f64(kLn2Hi)), vsubq_f64(inner, f));
-}
-}  // namespace detail
-
-inline Vec8d log_positive(Vec8d x) {
-  return {{detail::log2(x.v[0]), detail::log2(x.v[1]), detail::log2(x.v[2]),
-           detail::log2(x.v[3])}};
-}
-
-#else  // RUMOR_SIMD_SCALAR
-
-inline constexpr const char* kTierName = "scalar";
-
-struct Vec8d {
-  double v[8];
-};
-
-inline Vec8d vzero() { return {{0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0}}; }
-inline Vec8d vbroadcast(double x) { return {{x, x, x, x, x, x, x, x}}; }
-inline Vec8d vload(const double* p) {
-  Vec8d x;
-  for (int j = 0; j < 8; ++j) x.v[j] = p[j];
-  return x;
-}
-inline void vstore(double* p, Vec8d x) {
-  for (int j = 0; j < 8; ++j) p[j] = x.v[j];
-}
-inline Vec8d vadd(Vec8d x, Vec8d y) {
-  Vec8d r;
-  for (int j = 0; j < 8; ++j) r.v[j] = x.v[j] + y.v[j];
-  return r;
-}
-inline Vec8d vmul(Vec8d x, Vec8d y) {
-  Vec8d r;
-  for (int j = 0; j < 8; ++j) r.v[j] = x.v[j] * y.v[j];
-  return r;
-}
-inline Vec8d vdiv(Vec8d x, Vec8d y) {
-  Vec8d r;
-  for (int j = 0; j < 8; ++j) r.v[j] = x.v[j] / y.v[j];
-  return r;
-}
-namespace detail {
-inline double bit_op_and(double x, double y) {
-  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) & std::bit_cast<std::uint64_t>(y));
-}
-inline double bit_op_or(double x, double y) {
-  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) | std::bit_cast<std::uint64_t>(y));
-}
-}  // namespace detail
-inline Vec8d vand(Vec8d x, Vec8d y) {
-  Vec8d r;
-  for (int j = 0; j < 8; ++j) r.v[j] = detail::bit_op_and(x.v[j], y.v[j]);
-  return r;
-}
-inline Vec8d vor(Vec8d x, Vec8d y) {
-  Vec8d r;
-  for (int j = 0; j < 8; ++j) r.v[j] = detail::bit_op_or(x.v[j], y.v[j]);
-  return r;
-}
-inline Vec8d vneg(Vec8d x) {
-  Vec8d r;
-  for (int j = 0; j < 8; ++j) r.v[j] = -x.v[j];
-  return r;
-}
-inline Vec8d vcmp_gt(Vec8d x, Vec8d y) {
-  Vec8d r;
-  for (int j = 0; j < 8; ++j)
-    r.v[j] = std::bit_cast<double>(x.v[j] > y.v[j] ? ~std::uint64_t{0} : std::uint64_t{0});
-  return r;
-}
-inline Vec8d vnonneg_violation(Vec8d x) {
-  Vec8d r;
-  for (int j = 0; j < 8; ++j)
-    r.v[j] = std::bit_cast<double>(!(x.v[j] >= 0.0) ? ~std::uint64_t{0} : std::uint64_t{0});
-  return r;
-}
-inline bool vany(Vec8d mask) {
-  std::uint64_t bits = 0;
-  for (int j = 0; j < 8; ++j) bits |= std::bit_cast<std::uint64_t>(mask.v[j]);
-  return bits != 0;
-}
-
-// The canonical tree, spelled out.
-inline double reduce(Vec8d x) {
-  const double a04 = x.v[0] + x.v[4];
-  const double a15 = x.v[1] + x.v[5];
-  const double a26 = x.v[2] + x.v[6];
-  const double a37 = x.v[3] + x.v[7];
-  return (a04 + a26) + (a15 + a37);
-}
-
-inline Vec8d log_positive(Vec8d x) {
-  Vec8d r;
-  for (int j = 0; j < 8; ++j) r.v[j] = portable_log(x.v[j]);
-  return r;
-}
-
-#endif  // tier selection
-
-// Scalar spellings of the kernels' canonical orders — the reference the
-// bitwise identity suite diffs every tier against, the readable definition of
-// what the vector code must compute, and the small-input path of the kernels
-// themselves (below ~two vector groups the lane-marshalling overhead exceeds
-// the lane win on every backend, and the two spellings are interchangeable
-// precisely because they are bit-identical).
-namespace ref {
-
+// The fixed reduction tree over the 8 accumulators.
 inline double reduce8(const double* acc) {
   const double a04 = acc[0] + acc[4];
   const double a15 = acc[1] + acc[5];
@@ -533,6 +70,9 @@ inline double reduce8(const double* acc) {
   return (a04 + a26) + (a15 + a37);
 }
 
+// Lane-blocked sum: element k accumulates into accumulator k mod 8, reduced
+// through the fixed tree. The single definition of "sum of a block" used by
+// BlockRates' block/superblock/total resums.
 inline double lane_sum(const double* x, std::size_t len) {
   double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   for (std::size_t k = 0; k < len; ++k) acc[k % 8] += x[k];
@@ -541,6 +81,8 @@ inline double lane_sum(const double* x, std::size_t len) {
 
 inline double lane_sum(std::span<const double> x) { return lane_sum(x.data(), x.size()); }
 
+// winv refresh over CSR degrees: winv[i] = beta / deg(i), or 0.0 for isolated
+// nodes. Elementwise, so there is no order to fix.
 inline void fill_winv(const std::int64_t* offsets, std::size_t begin, std::size_t end, double beta,
                       double* winv) {
   for (std::size_t i = begin; i < end; ++i) {
@@ -549,6 +91,17 @@ inline void fill_winv(const std::int64_t* offsets, std::size_t begin, std::size_
   }
 }
 
+// r(v) for one node: lane-blocked over the *positions* of its adjacency list.
+// Neighbour at position k contributes to accumulator k mod 8 the value
+//
+//     m · (push_flag · winv[w] + pull_w)
+//
+// with m = 1.0 when w is informed and 0.0 otherwise. push_flag ∈ {1.0, 0.0}
+// and the multiplication by m is exact — x·1.0 == x and x·0.0 == +0.0 for
+// this finite non-negative domain — so uninformed neighbours add a bitwise
+// no-op +0.0. Every r(v) in the engine — full gather, sparse rebuild, delta
+// refresh — comes from this one kernel, which is what makes the three paths
+// bit-identical by construction (core/rate_model.h).
 inline double crossing_rate(const std::int32_t* adj, std::size_t deg,
                             const std::uint64_t* informed_words, const double* winv,
                             double push_flag, double pull_w) {
@@ -563,114 +116,9 @@ inline double crossing_rate(const std::int32_t* adj, std::size_t deg,
   return reduce8(acc);
 }
 
+// In-place x → -log(x) over positive normal inputs (-log(1.0) is -0.0).
 inline void negative_log_transform(double* buf, std::size_t len) {
   for (std::size_t k = 0; k < len; ++k) buf[k] = -portable_log(buf[k]);
-}
-
-}  // namespace ref
-
-// ---------------------------------------------------------------------------
-// Kernels. Each states its canonical arithmetic order; simd::ref above holds
-// the scalar spelling of the same order, and tests/test_simd.cpp asserts the
-// two agree bitwise on every tier.
-// ---------------------------------------------------------------------------
-
-// Lane-blocked sum: element k accumulates into lane k mod 8 (tail lanes
-// padded with +0.0), reduced through the fixed tree. The single definition of
-// "sum of a block" used by BlockRates' block/superblock/total resums.
-inline double lane_sum(const double* x, std::size_t len) {
-  Vec8d acc = vzero();
-  std::size_t k = 0;
-  for (; k + 8 <= len; k += 8) acc = vadd(acc, vload(x + k));
-  if (k < len) {
-    double pad[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-    for (std::size_t j = 0; k + j < len; ++j) pad[j] = x[k + j];
-    acc = vadd(acc, vload(pad));
-  }
-  return reduce(acc);
-}
-
-inline double lane_sum(std::span<const double> x) { return lane_sum(x.data(), x.size()); }
-
-// winv refresh over CSR degrees: winv[i] = beta / deg(i), or 0.0 for isolated
-// nodes (a masked division — the quotient of a positive beta by +0.0 is +inf,
-// bitwise-ANDed away by the deg > 0 mask). Elementwise, so lane order never
-// matters; the scalar tail performs the identical IEEE division.
-inline void fill_winv(const std::int64_t* offsets, std::size_t begin, std::size_t end, double beta,
-                      double* winv) {
-  const Vec8d vbeta = vbroadcast(beta);
-  const Vec8d zero = vzero();
-  std::size_t i = begin;
-  double degs[8];
-  for (; i + 8 <= end; i += 8) {
-    for (std::size_t j = 0; j < 8; ++j)
-      degs[j] = static_cast<double>(offsets[i + j + 1] - offsets[i + j]);
-    const Vec8d d = vload(degs);
-    vstore(winv + i, vand(vdiv(vbeta, d), vcmp_gt(d, zero)));
-  }
-  for (; i < end; ++i) {
-    const std::int64_t deg = offsets[i + 1] - offsets[i];
-    winv[i] = deg > 0 ? beta / static_cast<double>(deg) : 0.0;
-  }
-}
-
-// r(v) for one node: lane-blocked over the *positions* of its adjacency list.
-// Neighbour at position k contributes to lane k mod 8 the value
-//
-//     m · (push_flag · winv[w] + pull_w)
-//
-// with m = 1.0 when w is informed and 0.0 otherwise (uninformed and padding
-// lanes alike). push_flag ∈ {1.0, 0.0} and the multiplications by m are
-// exact — x·1.0 == x and x·0.0 == +0.0 for this finite non-negative domain —
-// so informed lanes carry exactly the scalar two-op sequence
-// t = push_flag·winv[w]; s = t + pull_w, and masked lanes add a bitwise
-// no-op +0.0. Every r(v) in the engine — full gather, sparse rebuild, delta
-// refresh — comes from this one kernel, which is what makes the three paths
-// bit-identical by construction (core/rate_model.h).
-inline double crossing_rate(const std::int32_t* adj, std::size_t deg,
-                            const std::uint64_t* informed_words, const double* winv,
-                            double push_flag, double pull_w) {
-  // Below two vector groups the gather marshalling (scalar loads into lane
-  // buffers) costs more than the lanes win on every backend, and the ref
-  // spelling computes the identical lane-blocked sum bit-for-bit — so small
-  // degrees take the scalar path outright.
-  if (deg < 16) return ref::crossing_rate(adj, deg, informed_words, winv, push_flag, pull_w);
-  const Vec8d vpush = vbroadcast(push_flag);
-  const Vec8d vpull = vbroadcast(pull_w);
-  Vec8d acc = vzero();
-  double bw[8];
-  double bm[8];
-  std::size_t k = 0;
-  for (; k + 8 <= deg; k += 8) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      const auto w = static_cast<std::uint32_t>(adj[k + j]);
-      bw[j] = winv[w];
-      bm[j] = ((informed_words[w >> 6] >> (w & 63u)) & 1u) != 0 ? 1.0 : 0.0;
-    }
-    acc = vadd(acc, vmul(vload(bm), vadd(vmul(vpush, vload(bw)), vpull)));
-  }
-  if (k < deg) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      bw[j] = 0.0;
-      bm[j] = 0.0;
-    }
-    for (std::size_t j = 0; k + j < deg; ++j) {
-      const auto w = static_cast<std::uint32_t>(adj[k + j]);
-      bw[j] = winv[w];
-      bm[j] = ((informed_words[w >> 6] >> (w & 63u)) & 1u) != 0 ? 1.0 : 0.0;
-    }
-    acc = vadd(acc, vmul(vload(bm), vadd(vmul(vpush, vload(bw)), vpull)));
-  }
-  return reduce(acc);
-}
-
-// In-place x → -log(x) over positive normal inputs: 8-lane groups through
-// log_positive, a bitwise-identical portable_log tail (the sign flip is a
-// bit operation on both paths, so -log(1.0) is -0.0 everywhere).
-inline void negative_log_transform(double* buf, std::size_t len) {
-  std::size_t k = 0;
-  for (; k + 8 <= len; k += 8) vstore(buf + k, vneg(log_positive(vload(buf + k))));
-  for (; k < len; ++k) buf[k] = -portable_log(buf[k]);
 }
 
 }  // namespace rumor::simd

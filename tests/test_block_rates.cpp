@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "stats/block_rates.h"
@@ -168,6 +170,51 @@ TEST(BlockRates_, RefreshEntriesValidatesInput) {
   EXPECT_THROW(table.refresh_entries(unsorted, values), std::invalid_argument);
   const std::vector<std::size_t> arity = {1};
   EXPECT_THROW(table.refresh_entries(arity, values), std::invalid_argument);
+}
+
+// Runs `fn` and reports whether it threw std::invalid_argument naming the
+// non-negativity contract.
+template <typename Fn>
+::testing::AssertionResult RejectsNegativeRate(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    if (std::string(e.what()).find("rates must be non-negative") != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "wrong message: " << e.what();
+  }
+  return ::testing::AssertionFailure() << "no std::invalid_argument thrown";
+}
+
+TEST(BlockRates_, AssignRejectsNegativeOrNanRate) {
+  // Bad entries at an 8-aligned position, in a tail position past the last
+  // whole group of 8, and past the first superblock (4096 entries).
+  const struct {
+    std::size_t n;
+    std::size_t bad;
+  } cases[] = {{64, 8}, {13, 11}, {5000, 4500}};
+  for (const auto& c : cases) {
+    for (const double bad : {-1.0, -0x1p-1074, std::nan("")}) {
+      std::vector<double> rates(c.n, 1.0);
+      rates[c.bad] = bad;
+      BlockRates table;
+      EXPECT_TRUE(RejectsNegativeRate([&] { table.assign(rates); }))
+          << "n=" << c.n << " bad=" << c.bad << " value=" << bad;
+    }
+  }
+  BlockRates table;
+  EXPECT_NO_THROW(table.assign(std::vector<double>{0.0, -0.0, 1.0}));
+
+  // assign_tiled checks per tile (16384 entries): index 20000 is in the second.
+  std::vector<double> rates(20001, 1.0);
+  const auto serial = [](std::int64_t tiles, auto&& fn) {
+    for (std::int64_t t = 0; t < tiles; ++t) fn(t);
+  };
+  for (const double bad : {-2.0, std::nan("")}) {
+    rates[20000] = bad;
+    EXPECT_TRUE(RejectsNegativeRate([&] { table.assign_tiled(rates, serial); })) << bad;
+  }
 }
 
 TEST(Bitset_, SetTestClearCount) {

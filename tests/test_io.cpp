@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/builders.h"
 #include "graph/io.h"
@@ -28,14 +30,44 @@ TEST(EdgeList, CommentsAndHeaderParsed) {
   EXPECT_EQ(g.edge_count(), 2);
 }
 
+// Parses `text` and reports whether it failed with std::invalid_argument
+// whose message contains `want`.
+::testing::AssertionResult RejectedWith(const std::string& text, const std::string& want) {
+  std::stringstream ss(text);
+  try {
+    (void)read_edge_list(ss);
+  } catch (const std::invalid_argument& e) {
+    if (std::string(e.what()).find(want) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "wrong message: " << e.what();
+  } catch (const std::exception& e) {
+    return ::testing::AssertionFailure() << "unnamed error: " << e.what();
+  }
+  return ::testing::AssertionFailure() << "accepted";
+}
+
 TEST(EdgeList, MissingHeaderRejected) {
-  std::stringstream ss("0 1\n");
-  EXPECT_THROW(read_edge_list(ss), std::invalid_argument);
+  EXPECT_TRUE(RejectedWith("0 1\n", "missing the 'n <count>' header"));
+  // A header whose count does not parse, or that is not the tag "n" at all,
+  // must not read as n = 0.
+  EXPECT_TRUE(RejectedWith("n abc\n", "malformed edge-list header"));
+  EXPECT_TRUE(RejectedWith("nonsense\n", "malformed edge-list header"));
+  EXPECT_TRUE(RejectedWith("n -3\n", "malformed edge-list header"));
+  // Out of NodeId range: a named error, not a saturated count and bad_alloc.
+  EXPECT_TRUE(RejectedWith("n 99999999999\n", "malformed edge-list header"));
+  EXPECT_TRUE(RejectedWith("n 3 7\n", "malformed edge-list header"));
 }
 
 TEST(EdgeList, MalformedLineRejected) {
-  std::stringstream ss("n 4\n0 x\n");
-  EXPECT_THROW(read_edge_list(ss), std::invalid_argument);
+  EXPECT_TRUE(RejectedWith("n 4\n0 x\n", "malformed edge line"));
+  // Trailing tokens are rejected, not silently dropped.
+  EXPECT_TRUE(RejectedWith("n 3\n0 1 junk\n", "malformed edge line"));
+  EXPECT_TRUE(RejectedWith("1 2 7", "malformed edge line"));
+  EXPECT_TRUE(RejectedWith("n 3\n1 2 7", "malformed edge line"));
+  // Trailing whitespace (including a CRLF line end) is still fine.
+  std::stringstream ss("n 3 \r\n0 1\t\r\n1 2  \n");
+  EXPECT_EQ(read_edge_list(ss).edge_count(), 2);
 }
 
 TEST(EdgeList, EmptyStreamRejected) {

@@ -1,15 +1,15 @@
-// Bitwise identity suite for the hardware tier (support/simd.h).
+// Unit tests for the lane-blocked kernels (support/simd.h).
 //
-// Every kernel must produce byte-identical results to its simd::ref scalar
-// spelling on whatever backend this build selected — that equality, proved
-// here on randomized inputs (unaligned tails, denormal rates, informed-bit
-// patterns), is what lets the golden fingerprints pin one record stream
-// across the CI -march matrix (baseline x86-64, AVX2, forced scalar).
+// The golden fingerprints pin one summation order, not an instruction set;
+// these tests pin that order directly, on inputs a sequential running sum
+// would round differently, so a rewrite to any other order fails here and not
+// only in the fingerprint suite.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "stats/distributions.h"
@@ -59,102 +59,111 @@ TEST(PortableLog, CloseToLibmOnUniformDomain) {
   }
 }
 
-TEST(LaneSum, MatchesRefOnAllTailLengths) {
-  // Lengths 0..65 cover every lane-remainder and group-count combination.
-  Rng rng(7);
-  for (std::size_t len = 0; len <= 65; ++len) {
-    std::vector<double> x(len + 1);  // +1 slot so data() is valid at len=0
-    for (std::size_t k = 0; k < len; ++k) x[k] = rng.uniform_positive() * 3.0;
-    EXPECT_TRUE(BitEqual(simd::lane_sum(x.data(), len), simd::ref::lane_sum(x.data(), len)))
-        << "len=" << len;
-  }
+// x = {2^53, 1.0, 1.0, ...}: a running sum absorbs every 1.0 into 2^53
+// (2^53 + 1 is a tie, and ties round to the even 2^53), so it stays at 2^53
+// for every length. The lane-blocked order adds the 1.0s among themselves in
+// their own accumulators and the reduction tree, so from length 4 on it lands
+// above 2^53 — and at lengths 5 and 13 also differs from the tree that pairs
+// lane j with j+1 first.
+constexpr double kBig = 0x1p53;
+// kBig + kAboveBig[len] is the lane-blocked sum of big_then_ones(len), len >= 1.
+constexpr double kAboveBig[] = {0, 0, 0, 0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10, 12, 12, 14, 14};
+constexpr std::size_t kMaxLen = std::size(kAboveBig) - 1;
+
+double want_sum(std::size_t len) { return len == 0 ? 0.0 : kBig + kAboveBig[len]; }
+
+std::vector<double> big_then_ones(std::size_t len) {
+  std::vector<double> x(len + 1, 1.0);  // +1 slot so data() is valid at len=0
+  x[0] = kBig;
+  return x;
 }
 
-TEST(LaneSum, MatchesRefOnDenormalsAndLargeBlocks) {
-  Rng rng(8);
-  std::vector<double> x(4097);
-  for (std::size_t k = 0; k < x.size(); ++k) {
-    // Mix magnitudes: denormals (~1e-320), tiny rates, and O(1) values — the
-    // dynamic range a million-node rate table actually spans.
-    switch (k % 3) {
-      case 0: x[k] = 1e-320 * (1.0 + rng.uniform()); break;
-      case 1: x[k] = rng.uniform_positive() * 1e-9; break;
-      default: x[k] = rng.uniform_positive();
+TEST(LaneBlockedOrder, LaneSumPinsTheReductionTree) {
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    const std::vector<double> x = big_then_ones(len);
+    EXPECT_TRUE(BitEqual(simd::lane_sum(x.data(), len), want_sum(len))) << "len=" << len;
+    if (len >= 4) {
+      double running = 0.0;
+      for (std::size_t k = 0; k < len; ++k) running += x[k];
+      EXPECT_FALSE(BitEqual(running, want_sum(len))) << "len=" << len << " does not discriminate";
     }
   }
-  for (const std::size_t len : {std::size_t{64}, std::size_t{1000}, x.size()}) {
-    EXPECT_TRUE(BitEqual(simd::lane_sum(x.data(), len), simd::ref::lane_sum(x.data(), len)))
-        << "len=" << len;
+}
+
+// The canonical tree ((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)) as the level at
+// which two accumulators meet: 1 for l_j+l_(j+4), 2 for two lanes of the same
+// parity, 3 for the final add.
+int join_level(std::size_t a, std::size_t b) {
+  if ((a ^ b) == 4) return 1;
+  return a % 2 == b % 2 ? 2 : 3;
+}
+
+TEST(LaneBlockedOrder, LaneSumPinsTheTreeShape) {
+  // 2^53 in accumulator i and 1.0 in accumulators j and k: the 1.0s survive
+  // (2^53 + 2 is exact) only when j and k meet before either meets i, and
+  // are each absorbed otherwise. Every such triple pins the tree's shape;
+  // placing the 1.0s at j+8 and k+8 also pins element -> accumulator k mod 8.
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      for (std::size_t k = j + 1; k < 8; ++k) {
+        if (j == i || k == i) continue;
+        const double want = join_level(j, k) < join_level(i, j) ? kBig + 2.0 : kBig;
+        for (const std::size_t shift : {std::size_t{0}, std::size_t{8}}) {
+          std::vector<double> x(16, 0.0);
+          x[i] = kBig;
+          x[j + shift] = 1.0;
+          x[k + shift] = 1.0;
+          EXPECT_TRUE(BitEqual(simd::lane_sum(x.data(), x.size()), want))
+              << "big=" << i << " ones=" << j + shift << "," << k + shift;
+        }
+      }
+    }
   }
 }
 
-TEST(FillWinv, MatchesRefIncludingZeroDegrees) {
-  Rng rng(9);
-  const std::size_t n = 1000;
-  std::vector<std::int64_t> offsets(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Degree 0 every few nodes: the masked-divide path must emit exactly 0.0.
-    const std::int64_t deg = (i % 7 == 0) ? 0 : static_cast<std::int64_t>(rng.below(50));
-    offsets[i + 1] = offsets[i] + deg;
+TEST(LaneBlockedOrder, CrossingRatePinsTheReductionTree) {
+  // Neighbour k of an all-informed list contributes winv[k] exactly
+  // (push_flag 1.0, pull_w 0.0), so the sum is the lane_sum of winv.
+  const std::size_t n = 64;
+  const std::vector<std::uint64_t> informed(1, ~std::uint64_t{0});
+  std::vector<std::int32_t> adj(n);
+  for (std::size_t k = 0; k < n; ++k) adj[k] = static_cast<std::int32_t>(k);
+  const std::vector<double> winv = big_then_ones(n);
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    const double got = simd::crossing_rate(adj.data(), len, informed.data(), winv.data(), 1.0, 0.0);
+    EXPECT_TRUE(BitEqual(got, want_sum(len))) << "len=" << len;
   }
+}
+
+TEST(LaneBlockedOrder, CrossingRateMasksUninformedNeighbours) {
+  // Even node ids informed; each informed neighbour adds push_flag·0.5 + 0.25,
+  // each uninformed one adds +0.0. All values are exact.
+  const std::vector<std::uint64_t> informed(1, 0x5555555555555555ULL);
+  const std::vector<double> winv(64, 0.5);
+  std::vector<std::int32_t> adj(17);
+  for (std::size_t k = 0; k < adj.size(); ++k) adj[k] = static_cast<std::int32_t>(k);
+  const auto rate = [&](const std::vector<std::uint64_t>& words, double push_flag) {
+    return simd::crossing_rate(adj.data(), adj.size(), words.data(), winv.data(), push_flag, 0.25);
+  };
+  EXPECT_TRUE(BitEqual(rate(informed, 1.0), 9 * 0.75));
+  EXPECT_TRUE(BitEqual(rate(informed, 0.0), 9 * 0.25));
+  EXPECT_TRUE(BitEqual(rate(std::vector<std::uint64_t>(1, 0), 1.0), 0.0));
+}
+
+TEST(LaneBlockedOrder, FillWinvZeroDegreeIsPositiveZero) {
+  // Degrees {0, 1, 3, 0, 4, 7, 0}: isolated nodes get exactly +0.0.
+  const std::vector<std::int64_t> offsets = {0, 0, 1, 4, 4, 8, 15, 15};
   const double beta = 1.25;
-  std::vector<double> got(n, -1.0);
-  std::vector<double> want(n, -1.0);
-  // Unaligned begin/end exercise the scalar tail on both sides of the tile.
-  const std::pair<std::size_t, std::size_t> ranges[] = {{0, n}, {3, 997}, {64, 128}, {5, 6}};
-  for (const auto& [begin, end] : ranges) {
-    simd::fill_winv(offsets.data(), begin, end, beta, got.data());
-    simd::ref::fill_winv(offsets.data(), begin, end, beta, want.data());
-    for (std::size_t i = begin; i < end; ++i) {
-      EXPECT_TRUE(BitEqual(got[i], want[i])) << "i=" << i;
-    }
-  }
-}
-
-TEST(CrossingRate, MatchesRefOnRandomAdjacency) {
-  Rng rng(10);
-  const std::size_t n = 2048;
-  std::vector<double> winv(n);
-  for (auto& w : winv) w = rng.uniform_positive() * 0.5;
-  std::vector<std::uint64_t> informed_words(n / 64, 0);
-  for (std::size_t b = 0; b < n / 4; ++b) {
-    const std::uint64_t i = rng.below(n);
-    informed_words[i >> 6] |= std::uint64_t{1} << (i & 63);
-  }
-  // Degrees 0..70 cover empty lists, partial first groups, and full groups
-  // plus unaligned tails; push_flag and pull_w take the engine's real values.
-  for (std::size_t deg = 0; deg <= 70; ++deg) {
-    std::vector<std::int32_t> adj(deg + 1);
-    for (std::size_t k = 0; k < deg; ++k) adj[k] = static_cast<std::int32_t>(rng.below(n));
-    for (const double push_flag : {1.0, 0.0}) {
-      const double pull_w = rng.uniform() * 0.01;
-      EXPECT_TRUE(BitEqual(
-          simd::crossing_rate(adj.data(), deg, informed_words.data(), winv.data(), push_flag,
-                              pull_w),
-          simd::ref::crossing_rate(adj.data(), deg, informed_words.data(), winv.data(), push_flag,
-                                   pull_w)))
-          << "deg=" << deg << " push=" << push_flag;
-    }
-  }
-}
-
-TEST(NegativeLogTransform, MatchesRefAndScalarLog) {
-  Rng rng(11);
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-        std::size_t{64}, std::size_t{127}, std::size_t{128}, std::size_t{1000}}) {
-    std::vector<double> uniforms(len + 1);
-    for (std::size_t k = 0; k < len; ++k) uniforms[k] = rng.uniform_positive();
-    if (len > 0) uniforms[len / 2] = 1.0;  // the -0.0 corner rides along
-    std::vector<double> got = uniforms;
-    std::vector<double> want = uniforms;
-    simd::negative_log_transform(got.data(), len);
-    simd::ref::negative_log_transform(want.data(), len);
-    for (std::size_t k = 0; k < len; ++k) {
-      EXPECT_TRUE(BitEqual(got[k], want[k])) << "len=" << len << " k=" << k;
-      EXPECT_TRUE(BitEqual(got[k], -simd::portable_log(uniforms[k]))) << "k=" << k;
-    }
-  }
+  std::vector<double> got(7, -1.0);
+  simd::fill_winv(offsets.data(), 0, 7, beta, got.data());
+  const double want[] = {0.0, 1.25, 1.25 / 3.0, 0.0, 0.3125, 1.25 / 7.0, 0.0};
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_TRUE(BitEqual(got[i], want[i])) << "i=" << i;
+  // A sub-range writes only its own entries.
+  std::vector<double> part(7, -1.0);
+  simd::fill_winv(offsets.data(), 1, 6, beta, part.data());
+  EXPECT_TRUE(BitEqual(part[0], -1.0));
+  EXPECT_TRUE(BitEqual(part[3], 0.0));
+  EXPECT_TRUE(BitEqual(part[6], -1.0));
 }
 
 TEST(ExponentialBlock, BulkPathDrawsSameStreamAsPerEvent) {

@@ -40,7 +40,6 @@
 #include "support/cli.h"
 #include "support/json.h"
 #include "support/resource.h"
-#include "support/simd.h"
 #include "support/table.h"
 #include "support/timer.h"
 
@@ -515,19 +514,16 @@ int cmd_fingerprint(const Cli& cli, const std::string& self) {
   return 0;
 }
 
-// Emits one JSON line describing the hardware tier this binary was compiled
-// for: the selected SIMD ISA (support/simd.h), its lane-block width, the
-// host's thread budget, and the sanitizer configuration baked into the build
-// (cmake -DSANITIZE=...). Benchmark recordings prepend this record so a
-// BENCH file is self-describing — a flat thread curve or an odd kernel ratio
-// can be read off against the machine that produced it, and a sanitized
-// binary (5-20x slower per instruction) can never pollute a BENCH snapshot
-// unnoticed: scripts/run_bench.sh refuses to record unless the sanitizer
-// field reads "none".
+// Emits one JSON line describing the machine and build this binary runs on:
+// the host's thread budget, the sanitizer configuration baked into the build
+// (cmake -DSANITIZE=...) and the build id. Benchmark recordings prepend this
+// record so a BENCH file is self-describing — a flat thread curve can be read
+// off against the machine that produced it, and a sanitized binary (5-20x
+// slower per instruction) can never pollute a BENCH snapshot unnoticed:
+// scripts/run_bench.sh refuses to record unless the sanitizer field reads
+// "none".
 int cmd_hwinfo(std::ostream& os) {
-  os << "{\"record\":\"hw_info\",\"simd_tier\":\"" << simd::kTierName
-     << "\",\"simd_lanes\":" << simd::kLanes
-     << ",\"hardware_concurrency\":" << std::thread::hardware_concurrency()
+  os << "{\"record\":\"hw_info\",\"hardware_concurrency\":" << std::thread::hardware_concurrency()
      << ",\"sanitizer\":\"" << RUMOR_SANITIZER
      << "\",\"build\":\"" << RUMOR_BUILD_INFO << "\"}\n";
   return 0;
@@ -556,8 +552,8 @@ int usage(std::ostream& os, int code) {
         "  fingerprint            SHA-256 per cell over the canonical record\n"
         "            stream; grid options as sweep, or RECORDED.json operands\n"
         "            to fingerprint recordings without re-running them\n"
-        "  hwinfo                 one-line hw_info JSON record: compiled SIMD\n"
-        "            tier, lane-block width, hardware thread count, build id\n"
+        "  hwinfo                 one-line hw_info JSON record: hardware\n"
+        "            thread count, sanitizer, build id\n"
         "\n"
         "scale-tier options (run and sweep):\n"
         "  --scale     large-n preset: threads = hardware concurrency, trials 8\n"
