@@ -6,8 +6,8 @@ output) in chronological order and prints one row per grid cell with that
 cell's spread-time throughput (trials / elapsed_seconds) in each snapshot,
 plus the last/first ratio where both endpoints measured the cell. Cells are
 identified by the same work-identifying manifest fields compare_bench.py
-gates on, so a cell tracks through snapshots that added manifest columns
-(threads, backend, shards, ...) along the way; a snapshot that did not
+gates on, so a cell tracks through snapshots that added or dropped manifest
+columns (threads, backend, shards, ...) along the way; a snapshot that did not
 measure a cell shows "-".
 
 A cell whose newest measurement dropped more than --threshold (default 25%)

@@ -3,9 +3,9 @@
 # cell over the canonical per-trial record stream, compared against
 # tests/golden/fingerprints.json. Because the fingerprint key deliberately
 # excludes execution topology (src/repro/fingerprint.h), the same golden
-# table must verify under any --threads/--shards combination — ctest runs
-# this script across topologies, turning the determinism contract into a
-# single-file byte assertion.
+# table must verify under any --threads count — ctest runs this script at
+# threads 1 and 8, turning the determinism contract into a single-file byte
+# assertion.
 #
 # The suite pins every dynamic family plus the engine-internal code paths
 # that must not leak into records:
@@ -18,11 +18,11 @@
 #     threaded runs exercise the tiled parallel rebuild/evolution paths.
 #
 # Usage: scripts/check_fingerprints.sh path/to/rumor_cli
-#          [--threads N] [--shards N] [--update] [--out FILE]
+#          [--threads N] [--update] [--out FILE]
 #   --update  rewrite tests/golden/fingerprints.json from this build
 #   --out     also copy the freshly computed table to FILE (CI artifact)
 set -euo pipefail
-cli=${1:?usage: check_fingerprints.sh path/to/rumor_cli [--threads N] [--shards N] [--update] [--out FILE]}
+cli=${1:?usage: check_fingerprints.sh path/to/rumor_cli [--threads N] [--update] [--out FILE]}
 shift
 if [ ! -x "$cli" ]; then
   echo "check_fingerprints.sh: rumor_cli not found or not executable at '$cli'" >&2
@@ -30,11 +30,10 @@ if [ ! -x "$cli" ]; then
   exit 2
 fi
 
-threads=1 shards=1 update=0 out=""
+threads=1 update=0 out=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --threads) threads=$2; shift 2 ;;
-    --shards)  shards=$2;  shift 2 ;;
     --update)  update=1;   shift ;;
     --out)     out=$2;     shift 2 ;;
     *) echo "check_fingerprints.sh: unknown option '$1'" >&2; exit 2 ;;
@@ -46,7 +45,7 @@ golden=tests/golden/fingerprints.json
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-topo=(--threads "$threads" --shards "$shards")
+topo=(--threads "$threads")
 {
   "$cli" fingerprint \
     --scenarios static_clique,static_expander,dynamic_star,clique_bridge,edge_markovian,mobile_geometric,diligent_adversary,absolute_adversary,edge_sampling_expander,intermittent_expander \
@@ -75,9 +74,9 @@ if [ "$update" = 1 ]; then
 fi
 
 if ! diff -u "$golden" "$tmp"; then
-  echo "fingerprints drifted from $golden (threads=$threads shards=$shards)" >&2
+  echo "fingerprints drifted from $golden (threads=$threads)" >&2
   echo "  a diff here means per-trial record bytes changed for that cell;" >&2
   echo "  if intentional, regenerate with: scripts/check_fingerprints.sh $cli --update" >&2
   exit 1
 fi
-echo "fingerprints match golden: $(wc -l < "$tmp") cells (threads=$threads shards=$shards)"
+echo "fingerprints match golden: $(wc -l < "$tmp") cells (threads=$threads)"

@@ -3,11 +3,13 @@
 # contract end to end through `rumor_cli replay`:
 #
 #   positive — replaying the fresh recording reproduces every record byte for
-#     byte (exit 0), including under --threads/--shards overrides, since the
-#     records are invariant to execution topology;
+#     byte (exit 0), including under a --threads override, since the records
+#     are invariant to execution topology;
 #   negative — a deliberately perturbed record fails with a divergence
 #     message naming the trial and field; a corrupted manifest (unknown
-#     scenario) and a truncated recording fail with named, actionable errors.
+#     scenario) and a truncated recording fail with named, actionable errors;
+#     an option replay does not know (--shards, or the --thread typo) is a
+#     usage error naming it, never a silent replay at the recorded topology.
 #
 # The negative legs are the teeth: they prove replay actually compares bytes
 # rather than vacuously succeeding.
@@ -36,8 +38,6 @@ fail() { echo "check_replay.sh: $1" >&2; exit 1; }
   || fail "replay of a fresh recording did not reproduce it"
 "$cli" replay "$rec" --threads 4 > /dev/null \
   || fail "replay --threads 4 did not reproduce the single-threaded recording"
-"$cli" replay "$rec" --shards 2 > /dev/null \
-  || fail "replay --shards 2 did not reproduce the in-process recording"
 
 # The recording's fingerprint must match a from-scratch fingerprint of the
 # same grid — file mode hashes recorded bytes, grid mode hashes a re-run.
@@ -73,6 +73,19 @@ fi
 grep -q "truncated records" "$dir/err" \
   || { cat "$dir/err" >&2; fail "error does not report the truncation"; }
 
-echo "replay smoke OK: fresh recording byte-identical (incl. --threads 4," \
-     "--shards 2); perturbed record, corrupt manifest, truncated records" \
-     "all fail with named errors"
+# --- negative: unknown options are usage errors, not ignored ----------------
+for arg in --shards=2 --thread=4 --bogus=7; do
+  opt=${arg%%=*}
+  if "$cli" replay "$rec" "$opt" "${arg#*=}" > /dev/null 2> "$dir/err"; then
+    fail "replay accepted the unknown option '$opt'"
+  else
+    status=$?
+  fi
+  [ "$status" -eq 2 ] || { cat "$dir/err" >&2; fail "replay $opt exited $status, not 2"; }
+  grep -q "unknown option '$opt'" "$dir/err" \
+    || { cat "$dir/err" >&2; fail "error for '$opt' does not name the option"; }
+done
+
+echo "replay smoke OK: fresh recording byte-identical (incl. --threads 4);" \
+     "perturbed record, corrupt manifest, truncated records and unknown" \
+     "options all fail with named errors"

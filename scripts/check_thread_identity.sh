@@ -1,25 +1,16 @@
 #!/usr/bin/env bash
 # Scale-tier determinism assert: per-trial records must be byte-identical for
-# every execution topology. Counter-based trial seeds + index-addressed
-# results + in-order chunk aggregation make the runner's output a pure
-# function of (scenario, params, engine, seed); this script proves it end to
-# end through `rumor_cli fingerprint` — each run reduces a cell's record
-# stream to one SHA-256 line that omits the topology, so runs from different
-# thread/shard counts diff directly:
-#
-#   threads — threads=1 vs a many-worker run on mid-size cells, plus one
-#     trials=2 cell where the surplus-thread policy (workers = trials,
-#     rebuild_threads = threads/workers) actually engages the tiled parallel
-#     rate rebuilds — n is above the 16384-node tiling threshold, so the
-#     tiled gather/assign paths run and must still match the serial run byte
-#     for byte.
-#   shards — the multi-process backend (exec/sharded_backend.h): shards in
-#     {1, 2, 4} crossed with threads in {1, N} on one static and one
-#     delta-path edge-Markovian cell. Counter-based seeds make a worker's
-#     records a pure function of its global trial indices, and the
-#     coordinator merges shard streams in trial order, so any shard count
-#     (and any thread split across workers) must reproduce the
-#     single-process fingerprints exactly.
+# every thread count. Counter-based trial seeds + index-addressed results +
+# in-order chunk aggregation make the runner's output a pure function of
+# (scenario, params, engine, seed); this script proves it end to end through
+# `rumor_cli fingerprint` — each run reduces a cell's record stream to one
+# SHA-256 line that omits the topology, so runs from different thread counts
+# diff directly. It compares threads=1 with a many-worker run on mid-size
+# cells, plus one trials=2 cell where the surplus-thread policy (workers =
+# trials, rebuild_threads = threads/workers) actually engages the tiled
+# parallel rate rebuilds — n is above the 16384-node tiling threshold, so the
+# tiled gather/assign paths run and must still match the serial run byte for
+# byte.
 #
 # Usage: scripts/check_thread_identity.sh path/to/rumor_cli [threads]
 set -euo pipefail
@@ -31,8 +22,8 @@ if [ ! -x "$cli" ]; then
   exit 2
 fi
 
-tmp1=$(mktemp); tmpN=$(mktemp); shard_ref=$(mktemp); shard_out=$(mktemp)
-trap 'rm -f "$tmp1" "$tmpN" "$shard_ref" "$shard_out"' EXIT
+tmp1=$(mktemp); tmpN=$(mktemp)
+trap 'rm -f "$tmp1" "$tmpN"' EXIT
 
 run_matrix() {  # $1 = thread count, $2 = output file
   "$cli" fingerprint --scenarios edge_markovian --engines async_jump,async_tick \
@@ -65,27 +56,3 @@ fi
 echo "record fingerprints byte-identical: threads=1 vs threads=$threads" \
      "($(wc -l < "$tmp1") cells, incl. tiled-rebuild and delta-path cells)"
 
-# --- shard axis -------------------------------------------------------------
-
-run_shard_cells() {  # $1 = shard count, $2 = thread count, $3 = output file
-  "$cli" fingerprint --scenarios static_torus --engines async_jump,async_tick \
-    --rows 141 --cols 141 \
-    --trials 6 --seed 9 --shards "$1" --threads "$2" > "$3"
-  "$cli" fingerprint --scenarios edge_markovian --engines async_jump \
-    --sweep n=40000 --p 2e-08 --q 0.0001 \
-    --trials 2 --seed 9 --shards "$1" --threads "$2" >> "$3"
-}
-
-run_shard_cells 1 1 "$shard_ref"
-for shards in 2 4; do
-  for t in 1 "$threads"; do
-    run_shard_cells "$shards" "$t" "$shard_out"
-    if ! diff -u "$shard_ref" "$shard_out"; then
-      echo "record fingerprints differ: --shards $shards --threads $t" \
-           "vs in-process --threads 1" >&2
-      exit 1
-    fi
-  done
-done
-echo "record fingerprints byte-identical: shards={1,2,4} x threads={1,$threads}" \
-     "($(wc -l < "$shard_ref") cells, sharded vs in-process)"

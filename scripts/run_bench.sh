@@ -19,7 +19,6 @@
 #   MATRIX=ci scripts/run_bench.sh bench_ci.json    # pinned small CI matrix
 #   MATRIX=scale scripts/run_bench.sh bench_scale.json       # n=10^5 CI smoke
 #   MATRIX=scale-full scripts/run_bench.sh BENCH_4.json      # n=10^6 + curve
-#   MATRIX=shard scripts/run_bench.sh bench_shard.json       # scale @ --shards 2
 #
 # Successive snapshots (BENCH_2.json, BENCH_3.json, ...) are how scale/speed
 # PRs demonstrate their wins: scripts/compare_bench.py diffs the throughput of
@@ -43,7 +42,7 @@ fi
 # Optional target: only generated when google-benchmark is installed, and
 # only worth building for the matrices that run it (the scale matrices skip
 # microbenches entirely).
-if [[ "$MATRIX" != scale* && "$MATRIX" != shard ]] &&
+if [[ "$MATRIX" != scale* ]] &&
    cmake --build "$BUILD_DIR" --target help 2>/dev/null | grep -q bench_engine_throughput; then
   cmake --build "$BUILD_DIR" --target bench_engine_throughput -j"$(nproc)"
 fi
@@ -122,22 +121,6 @@ case "$MATRIX" in
       --sweep n=100000 --p 1.6e-05 --q 0.2 \
       --trials 8 --seed 1 --threads 4 --json >> "$OUT"
     ;;
-  shard)
-    # Sharded-backend perf smoke (the shard-smoke job): the exact scale cells
-    # rerun through `--shards 2` — a coordinator merging two worker
-    # subprocesses (exec/sharded_backend.h) with the thread budget split
-    # between them. The manifests carry the same (scenario, params, engine,
-    # protocol, trials, seed, threads) key, so compare_bench.py matches them
-    # against scripts/scale_baseline.json cell-for-cell (matching ignores the
-    # backend/shards columns) and the gate bounds the sharding overhead
-    # against the in-process baseline.
-    "$cli" sweep --scenarios static_torus --engines async_jump \
-      --rows 320 --cols 320 \
-      --trials 8 --seed 1 --shards 2 --threads 4 --json >> "$OUT"
-    "$cli" sweep --scenarios edge_markovian --engines async_jump \
-      --sweep n=100000 --p 1.6e-05 --q 0.2 \
-      --trials 8 --seed 1 --shards 2 --threads 4 --json >> "$OUT"
-    ;;
   scale-full)
     # The BENCH_4 scale tier: a completed n=10^6 sweep for a static and a
     # dynamic family, each recorded at threads 1, 2, 4, 8 with identical
@@ -159,7 +142,7 @@ case "$MATRIX" in
     done
     ;;
   *)
-    echo "unknown MATRIX '$MATRIX' (known: full, ci, scale, scale-full, shard)" >&2
+    echo "unknown MATRIX '$MATRIX' (known: full, ci, scale, scale-full)" >&2
     exit 2
     ;;
 esac
@@ -170,7 +153,7 @@ esac
 # tiled/arena work optimizes for. Gracefully skipped when `perf` is absent
 # or the kernel forbids counters (containers, locked-down CI runners); the
 # snapshot is complete without it.
-if [[ "$MATRIX" != scale* && "$MATRIX" != shard ]]; then
+if [[ "$MATRIX" != scale* ]]; then
   perf_tmp=$(mktemp)
   if perf stat -x, -e cycles,instructions,cache-references,cache-misses \
        -o "$perf_tmp" -- "$cli" run --scenario static_clique --n 1024 \
@@ -207,10 +190,9 @@ EOF
 fi
 
 # google-benchmark microbenches, one JSON-lines record per benchmark. The
-# scale and shard matrices skip them: their cells are macro-scale by
-# construction and the smoke jobs should spend their minutes on the
-# 10^5-node sweeps.
-if [[ "$MATRIX" != scale* && "$MATRIX" != shard ]]; then
+# scale matrices skip them: their cells are macro-scale by construction and
+# the smoke job should spend its minutes on the 10^5-node sweeps.
+if [[ "$MATRIX" != scale* ]]; then
   tmp=$(mktemp)
   trap 'rm -f "$tmp"' EXIT
   bench="$BUILD_DIR/bench/bench_engine_throughput"

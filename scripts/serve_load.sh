@@ -30,7 +30,7 @@ done
 
 fail() { echo "serve_load.sh: $*" >&2; exit 1; }
 strip_telemetry() {
-  sed -E 's/"(elapsed_seconds|peak_rss_mb|worker_peak_rss_mb)":[^,}]*[,}]//g'
+  sed -E 's/"(elapsed_seconds|peak_rss_mb)":[^,}]*[,}]//g'
 }
 
 work=$(mktemp -d)

@@ -2,10 +2,6 @@
 
 #include <string>
 
-#include "core/trial_pool.h"
-#include "exec/execution_backend.h"
-#include "support/contracts.h"
-
 namespace rumor {
 
 std::string to_string(EngineKind k) {
@@ -20,20 +16,6 @@ std::string to_string(EngineKind k) {
       return "flooding";
   }
   return "?";
-}
-
-RunnerReport run_trials(const NetworkFactory& factory, const RunnerOptions& options) {
-  DG_REQUIRE(options.trials > 0, "need at least one trial");
-  DG_REQUIRE(options.threads >= 1, "need at least one worker thread");
-  DG_REQUIRE(options.threads <= TrialPool::kMaxThreads,
-             "threads=" + std::to_string(options.threads) + " exceeds the runner cap of " +
-                 std::to_string(TrialPool::kMaxThreads) +
-                 "; trial parallelism tops out at the trial count and surplus threads only "
-                 "feed intra-trial rate rebuilds, so values this large are a misconfiguration");
-  DG_REQUIRE(options.shards >= 1, "need at least one shard");
-  DG_REQUIRE(options.trial_offset >= 0, "trial_offset must be non-negative");
-
-  return make_backend(options)->run(factory, options);
 }
 
 }  // namespace rumor

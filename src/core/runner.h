@@ -5,20 +5,17 @@
 // per trial (deterministically from the base seed), runs the chosen engine,
 // and aggregates spread times, bound crossings, and completion counts.
 //
-// run_trials() itself is a thin dispatch over the execution layer
-// (src/exec/execution_backend.h): it validates the options and hands the
-// batch to the backend they select. The default InProcessBackend chunks
-// trials over the persistent TrialPool (core/trial_pool.h); the
-// ShardedBackend fans the same trial range out to worker subprocesses.
-// Either way the contract is identical: per-trial seeds are counter-based
-// (trial i's RNG streams are a pure function of (options.seed,
+// run_trials() validates the options and runs the batch through the chunked
+// TrialPool loop (implemented in src/exec/in_process_backend.cpp, whose
+// header also exports the per-trial seed derivation). Per-trial seeds are
+// counter-based (trial i's RNG streams are a pure function of (options.seed,
 // trial_offset + i)), every result lands in an index-addressed slot, and
 // aggregation walks completed work in trial order — so the report is
-// bit-identical for any thread count, work-stealing schedule, chunk size, or
-// shard placement. Each pool worker owns an EngineWorkspace reused across
-// its trials (zero steady-state allocation), and when there are more threads
-// than trials the surplus is handed to the engines as intra-trial
-// rebuild_threads for tiled parallel rate rebuilds.
+// bit-identical for any thread count, work-stealing schedule, or chunk size.
+// Each pool worker owns an EngineWorkspace reused across its trials (zero
+// steady-state allocation), and when there are more threads than trials the
+// surplus is handed to the engines as intra-trial rebuild_threads for tiled
+// parallel rate rebuilds.
 #pragma once
 
 #include <functional>
@@ -94,25 +91,9 @@ struct RunnerOptions {
   // (max(4 x workers, 64)).
   int chunk_trials = 0;
 
-  // --- Execution-backend selection (src/exec/execution_backend.h) ---
-
-  // shards >= 2 together with a non-empty worker_argv selects the sharded
-  // multi-process backend: the trial range is partitioned into contiguous
-  // per-worker sub-ranges. Values above `trials` are clamped to the trial
-  // count. 1 (the default) runs in-process.
-  int shards = 1;
-
-  // Base command line of a shard worker (typically the running binary
-  // re-invoked in its hidden worker mode); the backend appends
-  // `--trial-offset B --trials K --threads T` per shard. Workers stream
-  // trial records plus a shard_done sentinel as JSON lines on stdout
-  // (support/jsonl.h) and inherit stderr.
-  std::vector<std::string> worker_argv;
-
   // Global index of this batch's first trial: seed derivation and
-  // trial_sink labelling use trial_offset + local index, which is how a
-  // shard worker reproduces exactly the records of its slice of the full
-  // run. 0 everywhere outside worker mode.
+  // trial_sink labelling use trial_offset + local index, so a run split into
+  // offset batches reproduces exactly the records of the full run.
   int trial_offset = 0;
 };
 
@@ -125,16 +106,8 @@ struct RunnerReport {
   int completed = 0;
 
   // Full per-trial results in trial order; filled iff
-  // RunnerOptions::keep_per_trial was set. Sharded runs reconstruct these
-  // from the streamed records, which round-trip exactly (support/json.h
-  // prints doubles with round-trip precision) but omit the O(n)
-  // flags/trace vectors.
+  // RunnerOptions::keep_per_trial was set.
   std::vector<SpreadResult> per_trial;
-
-  // Largest peak RSS any shard worker reported in its shard_done sentinel,
-  // in MiB; 0 for in-process runs. Telemetry, like elapsed time — reported,
-  // not reproduced.
-  double max_worker_rss_mb = 0.0;
 
   double completion_rate() const {
     return trials == 0 ? 0.0 : static_cast<double>(completed) / trials;

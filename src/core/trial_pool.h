@@ -12,9 +12,9 @@
 // schedule-independent.
 //
 // Two usage tiers share this class:
-//  * exec/in_process_backend.cpp (the default execution backend behind
-//    core/runner.h's run_trials) keeps one process-wide shared() pool for
-//    trial-level parallelism;
+//  * exec/in_process_backend.cpp (the trial loop behind core/runner.h's
+//    run_trials) keeps one process-wide shared() pool for trial-level
+//    parallelism;
 //  * core/engine_workspace.h gives each worker a private pool for tiled rate
 //    rebuilds inside a single large trial (nested parallelism without the
 //    shared pool deadlocking on itself — run() is not reentrant).

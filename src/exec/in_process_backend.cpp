@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/engine_workspace.h"
@@ -94,8 +95,16 @@ std::pair<std::uint64_t, std::uint64_t> trial_seeds(std::uint64_t base, int tria
   return {net_seed, engine_seed};
 }
 
-RunnerReport InProcessBackend::run(const NetworkFactory& factory,
-                                   const RunnerOptions& options) {
+RunnerReport run_trials(const NetworkFactory& factory, const RunnerOptions& options) {
+  DG_REQUIRE(options.trials > 0, "need at least one trial");
+  DG_REQUIRE(options.threads >= 1, "need at least one worker thread");
+  DG_REQUIRE(options.threads <= TrialPool::kMaxThreads,
+             "threads=" + std::to_string(options.threads) + " exceeds the runner cap of " +
+                 std::to_string(TrialPool::kMaxThreads) +
+                 "; trial parallelism tops out at the trial count and surplus threads only "
+                 "feed intra-trial rate rebuilds, so values this large are a misconfiguration");
+  DG_REQUIRE(options.trial_offset >= 0, "trial_offset must be non-negative");
+
   // Thread-allocation policy: never more workers than trials (the clamp);
   // surplus threads become intra-trial rebuild parallelism. Either way the
   // results are bit-identical to threads=1 — tiled rebuilds and the chunked
@@ -126,8 +135,8 @@ RunnerReport InProcessBackend::run(const NetworkFactory& factory,
 
     TrialPool::shared().run(
         chunk_size, workers, /*chunk=*/1, [&](std::int64_t task, int worker) {
-          // Seeds come from the *global* trial index, so a worker process
-          // handed an offset sub-range reproduces the full run's slice.
+          // Seeds come from the *global* trial index, so a batch started at
+          // trial_offset reproduces that slice of the full run.
           const int trial = options.trial_offset + chunk_begin + static_cast<int>(task);
           const auto [net_seed, engine_seed] = trial_seeds(options.seed, trial);
           chunk_results[static_cast<std::size_t>(task)] = run_one_trial(

@@ -1,20 +1,19 @@
-// InProcessBackend: chunked trial execution over the shared TrialPool.
+// The trial loop: chunked execution of one batch over the shared TrialPool.
 //
-// This is the scheduling/aggregation core extracted from the original
-// core/runner.cpp, behaviour- and record-identical: trials run in chunks on
-// the process-wide pool (core/trial_pool.h), per-trial seeds are derived by
-// the counter-based trial_seeds() scheme below, results land in
-// index-addressed slots, and each completed chunk is aggregated and streamed
-// in trial order on the calling thread — so the report is bit-identical for
-// any thread count, chunk size, or work-stealing schedule. It is also the
-// leaf executor of the sharded tier: every `rumor_cli worker` subprocess is
-// exactly this backend running a trial_offset-shifted sub-range.
+// core/runner.h's run_trials() is implemented here, and it is the only way
+// trials run. Trials run in chunks on the process-wide pool
+// (core/trial_pool.h), per-trial seeds are derived by the counter-based
+// trial_seeds() scheme below, results land in index-addressed slots, and
+// each completed chunk is aggregated and streamed in trial order on the
+// calling thread — so the report is bit-identical for any thread count,
+// chunk size, or work-stealing schedule (docs/ARCHITECTURE.md, "The
+// execution layer").
 #pragma once
 
 #include <cstdint>
 #include <utility>
 
-#include "exec/execution_backend.h"
+#include "core/runner.h"
 
 namespace rumor {
 
@@ -22,17 +21,10 @@ namespace rumor {
 // pure additive constant, so the i-th (net, engine) pair of the legacy
 // sequential derivation is a closed-form function of (seed, i): jumping the
 // state to seed + 2i·golden and mixing twice reproduces it bit for bit. That
-// makes trial seeds O(1) to derive from any worker in any order — and from
-// any *process*: a shard worker handed trial_offset B derives trial B + j's
-// seeds without replaying trials 0..B-1, which is what makes shard placement
-// invisible in the records. Every golden record captured under the original
-// sequential scheme stays valid.
+// makes trial seeds O(1) to derive from any worker in any order, and lets a
+// batch started at RunnerOptions::trial_offset B derive trial B + j's seeds
+// without replaying trials 0..B-1. Every golden record captured under the
+// original sequential scheme stays valid.
 std::pair<std::uint64_t, std::uint64_t> trial_seeds(std::uint64_t base, int trial);
-
-class InProcessBackend : public ExecutionBackend {
- public:
-  std::string name() const override { return "in-process"; }
-  RunnerReport run(const NetworkFactory& factory, const RunnerOptions& options) override;
-};
 
 }  // namespace rumor

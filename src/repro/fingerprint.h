@@ -5,7 +5,7 @@
 // cell's trial records, each line newline-terminated, in trial order. Because
 // the determinism contract makes those bytes a pure function of (scenario,
 // params, engine, protocol, seed, runner options) — invariant to threads,
-// chunks, shards, stdlib, and the delta-vs-rebuild rate paths — a 64-char
+// chunks, stdlib, and the delta-vs-rebuild rate paths — a 64-char
 // fingerprint is a faithful stand-in for the full record dump, and
 // tests/golden/fingerprints.json can pin whole suites across CI legs where
 // shipping megabytes of records around would not scale
@@ -49,7 +49,7 @@ class RecordHasher {
 std::string fingerprint_records(const std::vector<std::string>& record_lines);
 
 // One fingerprint record, keyed by the work-identifying manifest fields only:
-// the topology (threads/shards/chunk) is deliberately absent, which is what
+// the topology (threads/chunk) is deliberately absent, which is what
 // makes fingerprint tables from different execution topologies directly
 // diffable.
 struct CellFingerprint {

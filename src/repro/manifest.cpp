@@ -66,22 +66,27 @@ ReproManifest parse_manifest(const std::string& summary_line) {
   jsonl_get_double(object, "transmission_failure_prob", &m.transmission_failure_prob);
   jsonl_get_int(object, "source", &m.source);
 
-  std::int64_t threads = 1, chunk = 0, shards = 1;
+  std::int64_t threads = 1, chunk = 0;
   jsonl_get_int(object, "threads", &threads);
   jsonl_get_int(object, "chunk_trials", &chunk);
-  jsonl_get_int(object, "shards", &shards);
   DG_REQUIRE(threads >= 1, "manifest field 'threads' is out of range: " +
                                std::to_string(threads));
-  DG_REQUIRE(shards >= 1,
-             "manifest field 'shards' is out of range: " + std::to_string(shards));
   m.threads = static_cast<int>(threads);
   m.chunk_trials = static_cast<int>(chunk);
-  m.shards = static_cast<int>(shards);
-  jsonl_get_string(object, "backend", &m.backend);
-  DG_REQUIRE(m.backend.empty() || m.backend == "in-process" || m.backend == "sharded",
-             "manifest field 'backend' names no known execution backend: '" +
-                 m.backend + "' (known: in-process, sharded)");
-  jsonl_get_string(object, "worker_cmd", &m.worker_cmd);
+
+  // Legacy placement columns (backend, shards, worker_cmd) never determined
+  // the record bytes, so replay runs such cells in-process and ignores them;
+  // they are still checked, because a recording that spells them wrong is
+  // corrupt.
+  std::int64_t shards = 1;
+  jsonl_get_int(object, "shards", &shards);
+  DG_REQUIRE(shards >= 1,
+             "manifest field 'shards' is out of range: " + std::to_string(shards));
+  std::string backend;
+  jsonl_get_string(object, "backend", &backend);
+  DG_REQUIRE(backend.empty() || backend == "in-process" || backend == "sharded",
+             "manifest field 'backend' names no known execution backend: '" + backend +
+                 "' (known: in-process, sharded)");
   jsonl_get_string(object, "build", &m.build);
   return m;
 }

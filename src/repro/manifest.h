@@ -6,13 +6,15 @@
 //
 // The manifest is the contract of the replay harness: a (scenario, params,
 // engine, protocol, trials, seed, runner options) tuple fully determines the
-// per-trial record bytes, and the execution-topology fields (threads, chunk,
-// backend, shards) reproduce the placement without affecting the bytes
-// (docs/ARCHITECTURE.md, "The reproducibility harness"). Parsing is strict
-// about the record-determining fields — a recording that lost its scenario or
-// trial count cannot be replayed honestly — and defaults the topology and
-// telemetry fields so older snapshots (recorded before a column existed)
-// stay replayable.
+// per-trial record bytes, and the execution-topology fields (threads, chunk)
+// reproduce the placement without affecting the bytes (docs/ARCHITECTURE.md,
+// "The reproducibility harness"). Parsing is strict about the
+// record-determining fields — a recording that lost its scenario or trial
+// count cannot be replayed honestly — and defaults the topology and telemetry
+// fields so older snapshots (recorded before a column existed) stay
+// replayable. Recordings from builds that had a multi-process backend also
+// carry backend/shards/worker_cmd columns; they are validated and dropped,
+// since trial placement never reached the record bytes.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +49,6 @@ struct ReproManifest {
   // record bytes.
   int threads = 1;
   int chunk_trials = 0;
-  std::string backend;     // "in-process" / "sharded"; "" in older records
-  int shards = 1;
-  std::string worker_cmd;  // informative; replay recomposes its own
 
   // Provenance/telemetry: reported, never reproduced.
   std::string build;  // git-describe id of the recording build

@@ -49,16 +49,8 @@ ReplayReport replay_recording(const std::vector<RecordedCell>& recording,
     }
 
     ExperimentConfig config = resolve_manifest(m);
-    const bool overridden = options.threads_override > 0 || options.shards_override > 0;
-    if (options.threads_override > 0) config.runner.threads = options.threads_override;
-    if (options.shards_override > 0) config.runner.shards = options.shards_override;
-    if (config.runner.shards >= 2) {
-      DG_REQUIRE(!options.worker_binary.empty(),
-                 "cell '" + out.label + "' replays sharded (shards=" +
-                     std::to_string(config.runner.shards) +
-                     ") but no worker binary is configured");
-      config.worker_binary = options.worker_binary;
-    }
+    const bool overridden = options.threads_override > 0;
+    if (overridden) config.runner.threads = options.threads_override;
 
     std::vector<std::string> lines;
     lines.reserve(cell.trial_lines.size());

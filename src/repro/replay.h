@@ -5,7 +5,7 @@
 // every RecordedCell it resolves the manifest back through the scenario
 // registry (repro/resolver.h), re-runs the experiment with the recorded
 // options — topology included, unless the caller overrides it to probe the
-// determinism contract along the thread/shard axes — captures the replayed
+// determinism contract along the thread axis — captures the replayed
 // trial records through a streaming sink, and byte-diffs them against the
 // recording (repro/record_diff.h). The replayed manifest is additionally
 // required to be a fixed point (manifest_divergence empty) whenever the
@@ -22,16 +22,10 @@
 namespace rumor {
 
 struct ReplayOptions {
-  // Binary to re-invoke in hidden worker mode when a cell replays sharded
-  // (recorded topology, or shards_override >= 2). Empty forbids sharded
-  // replay with a clear error.
-  std::string worker_binary;
-
-  // > 0: replace the recorded thread/shard counts. The records must not care
-  // — that is the contract being probed — so diffs still run against the
-  // recorded bytes; only the manifest fixed-point check is skipped.
+  // > 0: replace the recorded thread count. The records must not care — that
+  // is the contract being probed — so diffs still run against the recorded
+  // bytes; only the manifest fixed-point check is skipped.
   int threads_override = 0;
-  int shards_override = 0;
 
   // The replaying binary's build id. A mismatch with the recording is a
   // stderr note by default (replaying old recordings on new builds is the

@@ -52,11 +52,6 @@ ExperimentConfig resolve_manifest(const ReproManifest& manifest) {
   opt.source = static_cast<NodeId>(manifest.source);
   opt.threads = manifest.threads;
   opt.chunk_trials = manifest.chunk_trials;
-  opt.shards = manifest.shards;
-  DG_REQUIRE(manifest.backend != "sharded" || manifest.shards >= 2,
-             "manifest backend is 'sharded' but shards=" +
-                 std::to_string(manifest.shards) +
-                 " — the topology fields contradict each other");
   return config;
 }
 
@@ -89,11 +84,6 @@ std::string manifest_divergence(const ReproManifest& recorded,
   if (recorded.source != replayed.source) return "source";
   if (recorded.threads != replayed.threads) return "threads";
   if (recorded.chunk_trials != replayed.chunk_trials) return "chunk_trials";
-  if (!recorded.backend.empty() && !replayed.backend.empty() &&
-      recorded.backend != replayed.backend) {
-    return "backend";
-  }
-  if (recorded.shards != replayed.shards) return "shards";
   return "";
 }
 

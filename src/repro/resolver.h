@@ -20,14 +20,13 @@ namespace rumor {
 
 // Reconstructs the ExperimentConfig (scenario, param overrides, full
 // RunnerOptions including the recorded execution topology). The caller owns
-// worker-binary wiring and any topology overrides.
+// any topology overrides.
 ExperimentConfig resolve_manifest(const ReproManifest& manifest);
 
 // Field-by-field comparison for the manifest fixed-point check: returns ""
 // when the two manifests describe the same experiment and topology, else the
-// name of the first differing field. Provenance and telemetry (build,
-// worker_cmd) are excluded — they legitimately differ between the recording
-// and the replaying binary.
+// name of the first differing field. Provenance (build) is excluded — it
+// legitimately differs between the recording and the replaying binary.
 std::string manifest_divergence(const ReproManifest& recorded,
                                 const ReproManifest& replayed);
 

@@ -2,7 +2,6 @@
 
 #include <ostream>
 
-#include "exec/execution_backend.h"
 #include "support/contracts.h"
 #include "support/json.h"
 #include "support/resource.h"
@@ -39,46 +38,6 @@ void write_sample_stats(JsonWriter& json, const std::string& key, const SampleSe
       .end_object();
 }
 
-// Base command line of a shard worker: the binary re-invoked in hidden
-// worker mode with the resolved scenario and every record-affecting runner
-// option spelled out (numeric values via json_number, which round-trips
-// doubles exactly). The sharded backend appends each shard's
-// `--trial-offset/--trials/--threads`.
-std::vector<std::string> make_worker_argv(const std::string& binary,
-                                          const ScenarioSpec& spec,
-                                          const ScenarioParams& params,
-                                          const RunnerOptions& opt) {
-  std::vector<std::string> argv = {binary, "worker", "--scenario", spec.name};
-  for (const auto& [name, value] : params.items()) {
-    argv.push_back("--" + name);
-    argv.push_back(value);
-  }
-  argv.insert(argv.end(), {"--engine", to_string(opt.engine),
-                           "--protocol", to_string(opt.protocol),
-                           "--seed", std::to_string(opt.seed),
-                           "--clock-rate", json_number(opt.clock_rate),
-                           "--time-limit", json_number(opt.time_limit),
-                           "--round-limit", std::to_string(opt.round_limit),
-                           "--source", std::to_string(opt.source),
-                           "--failure", json_number(opt.transmission_failure_prob),
-                           "--bound-cap", std::to_string(opt.bound_continuation_cap),
-                           "--chunk", std::to_string(opt.chunk_trials)});
-  if (opt.track_bounds) {
-    argv.push_back("--bounds");
-    argv.push_back(json_number(opt.bound_c));
-  }
-  return argv;
-}
-
-std::string join_argv(const std::vector<std::string>& argv) {
-  std::string out;
-  for (const std::string& arg : argv) {
-    if (!out.empty()) out += ' ';
-    out += arg;
-  }
-  return out;
-}
-
 }  // namespace
 
 EngineKind parse_engine(const std::string& name) {
@@ -110,18 +69,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const TrialSink&
   result.params = params.items();
 
   RunnerOptions options = config.runner;
-  // shards >= 2 selects the sharded multi-process backend
-  // (exec/sharded_backend.h): compose the worker command that replays this
-  // exact experiment per shard. Library callers without a worker binary get
-  // a clear error instead of a silent in-process fallback.
-  if (options.shards >= 2) {
-    DG_REQUIRE(!config.worker_binary.empty(),
-               "sharded execution (shards=" + std::to_string(options.shards) +
-                   ") needs ExperimentConfig::worker_binary — the rumor_cli path to "
-                   "re-invoke in worker mode");
-    options.worker_argv = make_worker_argv(config.worker_binary, spec, params, options);
-  }
-  result.runner = options;  // the options actually used, worker command included
+  result.runner = options;
 
   // The sink observes results as chunks complete, labelled with the resolved
   // spec/params already present in `result`.
@@ -134,12 +82,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const TrialSink&
   // The timer covers factory creation too: shared-static factories build
   // their one Graph snapshot up front, and that cost belongs in the recorded
   // elapsed_seconds (BENCH snapshots compare builds against each other).
-  // Sharded runs skip it — each worker builds its own factory, and the
-  // coordinator holding an unused million-node snapshot would defeat the
-  // per-process memory win that sharding exists for.
   Timer timer;
-  const NetworkFactory factory =
-      options.shards >= 2 ? NetworkFactory() : spec.make_factory(params);
+  const NetworkFactory factory = spec.make_factory(params);
   result.report = run_trials(factory, options);
   result.elapsed_seconds = timer.seconds();
   return result;
@@ -162,11 +106,6 @@ void write_manifest(JsonWriter& json, const ExperimentResult& result,
   // run's placement is reproducible too, not because the records need it.
   json.field("threads", opt.threads);
   json.field("chunk_trials", opt.chunk_trials);
-  json.field("backend", backend_name(opt));
-  json.field("shards", opt.shards);
-  if (!opt.worker_argv.empty()) {
-    json.field("worker_cmd", join_argv(opt.worker_argv));
-  }
   json.field("clock_rate", opt.clock_rate);
   json.field("time_limit", opt.time_limit);
   json.field("round_limit", opt.round_limit);
@@ -177,9 +116,6 @@ void write_manifest(JsonWriter& json, const ExperimentResult& result,
   json.field("source", static_cast<std::int64_t>(opt.source));
   json.field("build", build_info);
   json.field("peak_rss_mb", static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
-  if (result.report.max_worker_rss_mb > 0.0) {
-    json.field("worker_peak_rss_mb", result.report.max_worker_rss_mb);
-  }
   json.end_object();
 }
 

@@ -23,14 +23,7 @@ class JsonWriter;
 struct ExperimentConfig {
   std::string scenario;
   std::map<std::string, std::string> param_overrides;
-  RunnerOptions runner;  // engine, protocol, trials, seed, threads, shards, bounds, failure
-
-  // Path of the binary to re-invoke in hidden worker mode when
-  // runner.shards >= 2 selects the sharded backend (rumor_cli passes its own
-  // path). run_experiment composes the full worker command from it — the
-  // resolved scenario, every runner option, and the worker subcommand — so a
-  // worker reproduces exactly its slice of this experiment.
-  std::string worker_binary;
+  RunnerOptions runner;  // engine, protocol, trials, seed, threads, bounds, failure
 };
 
 struct ExperimentResult {
@@ -64,14 +57,12 @@ Protocol parse_protocol(const std::string& name);
 // --- Output rendering -------------------------------------------------------
 
 // The reproducibility manifest written into every JSON summary record:
-// scenario + resolved params, engine, protocol, trials, seed, the full
-// execution topology (threads, chunk_trials, backend, shards, and the worker
-// command line when sharded — all record-invariant by the determinism
+// scenario + resolved params, engine, protocol, trials, seed, the execution
+// topology (threads, chunk_trials — record-invariant by the determinism
 // contract), bound tracking, failure probability, and the build identifier
 // handed in by the binary (git describe) — everything needed to reproduce
-// the run bit-for-bit — plus memory telemetry (peak_rss_mb, and
-// worker_peak_rss_mb for sharded runs), which like wall-clock timing is
-// reported, not reproduced.
+// the run bit-for-bit — plus memory telemetry (peak_rss_mb), which like
+// wall-clock timing is reported, not reproduced.
 void write_manifest(JsonWriter& json, const ExperimentResult& result,
                     const std::string& build_info);
 

@@ -11,9 +11,7 @@ std::string cache_key(const ReproManifest& m) {
   // One "name=value\n" line per participating field, in a fixed order, so the
   // serialization is injective (names disambiguate, '\n' terminates values
   // that themselves never contain newlines). Doubles are spelled by
-  // json_number — the round-trip form manifest_divergence itself compares —
-  // and the backend is normalized the way backend_name() reports it, so the
-  // pre-PR-6 empty spelling keys identically to its explicit form.
+  // json_number — the round-trip form manifest_divergence itself compares.
   Sha256 hasher;
   const auto field = [&hasher](const std::string& name, const std::string& value) {
     hasher.update(name);
@@ -37,11 +35,8 @@ std::string cache_key(const ReproManifest& m) {
   field("source", std::to_string(m.source));
   field("threads", std::to_string(m.threads));
   field("chunk_trials", std::to_string(m.chunk_trials));
-  field("backend", m.backend.empty() ? (m.shards >= 2 ? "sharded" : "in-process")
-                                     : m.backend);
-  field("shards", std::to_string(m.shards));
-  // Deliberately absent: m.build and m.worker_cmd — the provenance fields
-  // manifest_divergence excludes.
+  // Deliberately absent: m.build — the provenance field manifest_divergence
+  // excludes.
   return hasher.hex_digest();
 }
 

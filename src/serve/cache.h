@@ -6,12 +6,11 @@
 // re-simulating. cache_key() hashes exactly the fields
 // repro/resolver.h's manifest_divergence compares — scenario, resolved
 // params, engine, protocol, trials, seed, every record-determining runner
-// option, and the execution topology — and excludes exactly the fields it
-// excludes: `build` and `worker_cmd`, the provenance/telemetry columns that
-// legitimately differ between the recording and the serving binary. Two
-// manifests with an empty divergence always share a key; any divergence
-// manifest_divergence would name yields distinct keys (tests/test_serve.cpp
-// pins both directions). The server additionally normalizes the execution
+// option, and the execution topology — and excludes exactly the field it
+// excludes: `build`, the provenance column that legitimately differs between
+// the recording and the serving binary. Two manifests with an empty
+// divergence always share a key; any divergence manifest_divergence would
+// name yields distinct keys (tests/test_serve.cpp pins both directions). The server additionally normalizes the execution
 // topology before keying (serve/protocol.h), so client-side topology noise
 // cannot fragment the cache.
 //

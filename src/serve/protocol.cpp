@@ -214,8 +214,6 @@ std::vector<ResolvedCell> resolve_request_cells(const ServeRequest& request,
           manifest.source = view.get_int("source", -1);
           manifest.threads = limits.job_threads;
           manifest.chunk_trials = 0;
-          manifest.backend = "in-process";
-          manifest.shards = 1;
 
           ResolvedCell cell;
           // The replay trust boundary: re-validates every field and proves

@@ -12,11 +12,12 @@
 // track_bounds, bound_c, bound_cap, clock_rate, time_limit, round_limit,
 // source); every other field is a scenario parameter override. Values may be
 // JSON numbers or strings — both arrive as the same spelling. Execution
-// topology (threads, chunk, shards, worker_cmd, backend, build) is the
-// server's concern and is rejected by name: admitting it would let clients
-// fragment the manifest-keyed cache with placement noise the records
-// provably do not depend on. docs/SERVICE.md is the schema reference; the
-// full field-by-field contract is asserted by tests/test_serve.cpp.
+// topology (threads, chunk, build, and the legacy multi-process fields
+// shards, worker_cmd and backend) is the server's concern and is rejected by
+// name: admitting it would let clients fragment the manifest-keyed cache with
+// placement noise the records provably do not depend on. docs/SERVICE.md is
+// the schema reference; the full field-by-field contract is asserted by
+// tests/test_serve.cpp.
 //
 // Resolution is the same trust boundary replay uses: each cell's raw values
 // are resolved against the scenario schema (ScenarioParams::resolve), spelled

@@ -1,17 +1,16 @@
-// JSON-lines message framing for the multi-process execution backend.
+// JSON-lines framing and field scanners.
 //
-// The shard protocol is newline-framed JSON records on a pipe: a worker
-// streams one flat {"record":"trial",...} object per line followed by a
-// single {"record":"shard_done",...} sentinel. LineReader turns the byte
-// stream of a file descriptor into complete lines (keeping any unterminated
-// tail as truncation evidence), and the jsonl_get_* scanners pull typed
-// top-level fields out of one such line without a general JSON parser.
+// The repo's wire formats are newline-framed flat JSON records: rumor_serve
+// requests and responses over a unix socket, and the recordings
+// `rumor_cli replay` loads. LineReader turns the byte stream of a file
+// descriptor into complete lines (keeping any unterminated tail as
+// truncation evidence), and the jsonl_get_* scanners pull typed top-level
+// fields out of one such line without a general JSON parser.
 //
 // The scanners are deliberately minimal: they assume a flat record whose
 // string values contain no escapes — exactly what support/json.h's writer
-// emits for trial records — and match keys by their quoted form, so a key
-// name embedded in a string value could confuse them. The execution layer
-// only ever feeds them records it produced itself.
+// emits — and match keys by their quoted form, so a key name embedded in a
+// string value could confuse them.
 #pragma once
 
 #include <cstdint>

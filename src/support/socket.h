@@ -1,15 +1,11 @@
 // Local stream-socket transport for the serving layer.
 //
-// Generalizes the pipe transport of support/subprocess.h: LineReader
-// (support/jsonl.h) already frames JSON lines over any file descriptor, so
-// all a socket peer needs is the two endpoints this header supplies — a
-// listening unix-domain server socket (UnixListener) and a connected,
-// move-only stream (Socket) whose write_all reports a dead peer as a return
-// value instead of raising SIGPIPE. Nothing here knows about the serve
-// protocol; rumor_serve composes these with LineReader exactly the way the
-// sharded backend composes Subprocess with it, which is what will let shard
-// workers live behind a socket instead of a pipe without touching the
-// framing or record code.
+// LineReader (support/jsonl.h) already frames JSON lines over any file
+// descriptor, so all a socket peer needs is the two endpoints this header
+// supplies — a listening unix-domain server socket (UnixListener) and a
+// connected, move-only stream (Socket) whose write_all reports a dead peer as
+// a return value instead of raising SIGPIPE. Nothing here knows about the
+// serve protocol; rumor_serve composes these with LineReader.
 #pragma once
 
 #include <string>

@@ -4,7 +4,7 @@
 // orchestrator — including the fixed-point property that recording a fresh
 // sweep and replaying it reproduces both the records and the manifest, for
 // one scenario per dynamic family. The CLI half of the same contract
-// (exit codes, file handling, sharded replay through real workers) lives in
+// (exit codes, file handling, option checking) lives in
 // scripts/check_replay.sh.
 #include <gtest/gtest.h>
 
@@ -141,8 +141,6 @@ TEST(Manifest, ParsesRecordedCell) {
   EXPECT_EQ(m.trials, 3);
   EXPECT_EQ(m.seed, 11u);
   EXPECT_EQ(m.threads, 1);
-  EXPECT_EQ(m.backend, "in-process");
-  EXPECT_EQ(m.shards, 1);
   EXPECT_EQ(m.build, "test-build");
   EXPECT_EQ(cells[0].trial_lines.size(), 3u);
 }
@@ -161,6 +159,26 @@ TEST(Manifest, MissingRequiredFieldIsNamed) {
   recording.erase(field_at, std::string("\"scenario\":\"dynamic_star\",").size());
   expect_named_error([&] { load(recording); },
                      {"missing required field 'scenario'"});
+}
+
+// Builds that had a multi-process backend recorded its placement columns.
+// They never determined the record bytes, but a recording that spells them
+// wrong is still corrupt.
+TEST(Manifest, LegacyPlacementColumnsKeepTheirNamedErrors) {
+  const std::string recording = record_cell("dynamic_star", {{"n", "16"}},
+                                            EngineKind::async_jump, 2, 5);
+  const auto with_columns = [&](const std::string& columns) {
+    std::string out = recording;
+    const std::string anchor = "\"chunk_trials\":0,";
+    const std::size_t at = out.find(anchor);
+    EXPECT_NE(at, std::string::npos);
+    out.insert(at + anchor.size(), columns);
+    return out;
+  };
+  expect_named_error([&] { load(with_columns(R"("shards":0,)")); },
+                     {"'shards'", "out of range"});
+  expect_named_error([&] { load(with_columns(R"("backend":"bogus",)")); },
+                     {"'backend'", "bogus", "in-process, sharded"});
 }
 
 TEST(Manifest, TruncatedTrialRecordsAreDetected) {
@@ -383,14 +401,29 @@ TEST(Replay, StrictBuildMismatchIsANamedError) {
                      {"build", "test-build", "a-different-build"});
 }
 
-TEST(Replay, ShardedRecordingWithoutWorkerBinaryIsANamedError) {
-  auto cells = load(record_cell("dynamic_star", {{"n", "16"}},
-                                EngineKind::async_jump, 2, 5));
-  cells[0].manifest.backend = "sharded";
-  cells[0].manifest.shards = 2;
+// A cell recorded through the removed multi-process backend (its summary
+// carries backend/shards/worker_cmd/worker_peak_rss_mb, as BENCH_6 does)
+// replays in-process, byte for byte, with the manifest still a fixed point.
+TEST(Replay, LegacyShardedRecordingReplaysInProcess) {
+  std::string recording = record_cell("edge_markovian",
+                                      {{"n", "48"}, {"p", "0.05"}, {"q", "0.3"}},
+                                      EngineKind::async_jump, 4, 13, /*threads=*/2);
+  const std::string anchor = "\"chunk_trials\":0,";
+  const std::size_t at = recording.find(anchor);
+  ASSERT_NE(at, std::string::npos);
+  recording.insert(at + anchor.size(),
+                   R"("backend":"sharded","shards":2,)"
+                   R"("worker_cmd":"rumor_cli --scenario edge_markovian --n 48",)"
+                   R"("worker_peak_rss_mb":75.9,)");
+  const auto cells = load(recording);
+  ASSERT_EQ(cells.size(), 1u);
   std::ostringstream diag;
-  expect_named_error([&] { replay_recording(cells, ReplayOptions{}, diag); },
-                     {"worker"});
+  const ReplayReport report = replay_recording(cells, ReplayOptions{}, diag);
+  EXPECT_TRUE(report.ok) << diag.str();
+  ASSERT_EQ(report.cells.size(), 1u);
+  EXPECT_TRUE(report.cells[0].divergence.identical) << report.cells[0].divergence.message;
+  EXPECT_EQ(report.cells[0].manifest_field, "");
+  EXPECT_EQ(report.trials, 4);
 }
 
 TEST(Replay, TopologyOverrideStillMatchesRecordedBytes) {

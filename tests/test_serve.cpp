@@ -56,7 +56,6 @@ TEST(CacheKey, IgnoredProvenanceFieldsShareAKey) {
   const ReproManifest a = base_manifest();
   ReproManifest b = a;
   b.build = "some-other-build-id";
-  b.worker_cmd = "rumor_cli worker --totally --different";
   // The precondition that makes sharing sound: the comparator calls them equal.
   EXPECT_EQ(manifest_divergence(a, b), "");
   EXPECT_EQ(cache_key(a), cache_key(b));
@@ -120,23 +119,6 @@ TEST(CacheKey, EveryComparedFieldSplitsTheKey) {
     m.threads = 8;
     expect_split(m, "threads");
   }
-  {
-    ReproManifest m = a;
-    m.shards = 2;
-    m.backend = "sharded";
-    expect_split(m, "backend");
-  }
-}
-
-TEST(CacheKey, EmptyBackendKeysLikeItsNormalizedSpelling) {
-  // Pre-PR-6 recordings spell the backend "" — manifest_divergence treats
-  // that as a wildcard, and the key treats it as the topology's actual name.
-  ReproManifest a = base_manifest();
-  ReproManifest b = a;
-  a.backend = "in-process";
-  b.backend = "";
-  EXPECT_EQ(manifest_divergence(a, b), "");
-  EXPECT_EQ(cache_key(a), cache_key(b));
 }
 
 // --- ResultCache: LRU within a byte budget ---------------------------------
@@ -270,8 +252,6 @@ TEST(ServeProtocol, GridExpansionAndNormalization) {
     keys.push_back(cell.key);
     // The server's topology policy, never the client's.
     EXPECT_EQ(cell.manifest.threads, 3);
-    EXPECT_EQ(cell.manifest.backend, "in-process");
-    EXPECT_EQ(cell.manifest.shards, 1);
     EXPECT_EQ(cell.manifest.trials, 2);
   }
   std::sort(keys.begin(), keys.end());

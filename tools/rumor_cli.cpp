@@ -17,8 +17,6 @@
 //   $ rumor_cli run --scenario dynamic_star --n 256 --trials 30 --seed 1 --json
 //   $ rumor_cli sweep --scenarios static_clique,dynamic_star
 //         --engines async_jump,sync --sweep n=128,256 --trials 10 --csv
-#include <unistd.h>
-
 #include <algorithm>
 #include <fstream>
 #include <iomanip>
@@ -38,8 +36,6 @@
 #include "repro/replay.h"
 #include "scenarios/experiment.h"
 #include "support/cli.h"
-#include "support/json.h"
-#include "support/resource.h"
 #include "support/table.h"
 #include "support/timer.h"
 
@@ -51,27 +47,17 @@ namespace rumor {
 namespace {
 
 // Driver options; everything else is treated as a scenario parameter.
-// "shards" selects the multi-process backend; "trial-offset" and "bound-cap"
-// are internal plumbing of the hidden `worker` subcommand.
+// "bound-cap" sets RunnerOptions::bound_continuation_cap (rumor_serve's
+// bound_cap).
 const std::set<std::string>& reserved_options() {
   static const std::set<std::string> names = {
       "scenario", "scenarios", "engine",      "engines",     "protocol", "protocols",
       "trials",   "seed",      "threads",     "bounds",      "failure",  "clock-rate",
       "time-limit", "round-limit", "source",  "sweep",       "json",     "csv",
-      "markdown", "help",      "progress",    "scale",       "chunk",    "shards",
-      "trial-offset", "bound-cap", "strict-build",
+      "markdown", "help",      "progress",    "scale",       "chunk",    "bound-cap",
+      "strict-build",
   };
   return names;
-}
-
-// The path workers are spawned from: this very binary, re-invoked with the
-// hidden `worker` subcommand. /proc/self/exe survives PATH-relative and
-// cwd-relative invocations; argv[0] is the portable fallback.
-std::string self_binary_path(const char* argv0) {
-  char buf[4096];
-  const ssize_t len = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (len > 0) return std::string(buf, static_cast<std::size_t>(len));
-  return argv0 != nullptr ? std::string(argv0) : std::string();
 }
 
 std::vector<std::string> split_list(const std::string& text) {
@@ -107,7 +93,6 @@ RunnerOptions runner_options(const Cli& cli) {
   opt.trials = static_cast<int>(cli.get_int("trials", scale ? 8 : 30));
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   opt.threads = static_cast<int>(cli.get_int("threads", scale ? hw : 1));
-  opt.shards = static_cast<int>(cli.get_int("shards", 1));
   opt.chunk_trials = static_cast<int>(cli.get_int("chunk", 0));
   opt.bound_continuation_cap = cli.get_int("bound-cap", opt.bound_continuation_cap);
   opt.clock_rate = cli.get_double("clock-rate", 1.0);
@@ -211,40 +196,7 @@ int cmd_describe(const Cli& cli) {
   return 0;
 }
 
-// Hidden worker mode: one shard of a sharded run. Reconstructs the
-// experiment from the command line the coordinator composed
-// (scenarios/experiment.cpp make_worker_argv), runs its trial sub-range
-// in-process with global trial indices (--trial-offset), and streams the
-// shard protocol on stdout: one trial record per line — byte-identical to
-// the lines the in-process run would emit for those trials — then the
-// shard_done sentinel with this process's peak RSS. Flushed per record so
-// the coordinator's in-order merge advances while trials are still running.
-int cmd_worker(const Cli& cli) {
-  ExperimentConfig config;
-  config.scenario = cli.get("scenario", "");
-  config.param_overrides = scenario_overrides(cli);
-  config.runner = runner_options(cli);
-  config.runner.shards = 1;  // workers never recurse into sharding
-  config.runner.trial_offset = static_cast<int>(cli.get_int("trial-offset", 0));
-
-  const TrialSink sink = [](const ExperimentResult& r, int trial, const SpreadResult& t) {
-    emit_trial_json(std::cout, r, trial, t);
-    std::cout.flush();
-  };
-  const ExperimentResult result = run_experiment(config, sink);
-
-  JsonWriter json(std::cout);
-  json.begin_object()
-      .field("record", "shard_done")
-      .field("offset", static_cast<std::int64_t>(config.runner.trial_offset))
-      .field("trials", result.report.trials)
-      .field("peak_rss_mb", static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0))
-      .end_object();
-  std::cout << '\n' << std::flush;
-  return 0;
-}
-
-int cmd_run(const Cli& cli, const std::string& self) {
+int cmd_run(const Cli& cli) {
   // Sweep-only options would otherwise be reserved-but-ignored here, and a
   // plural slip (--engines for --engine) must not silently run defaults.
   const std::pair<const char*, const char*> sweep_only[] = {
@@ -265,7 +217,6 @@ int cmd_run(const Cli& cli, const std::string& self) {
   config.param_overrides = scenario_overrides(cli);
   config.runner = runner_options(cli);
   config.runner.progress = make_progress(cli, config.scenario);
-  config.worker_binary = self;  // --shards N re-invokes this binary per shard
 
   // Per-trial records stream through a sink as chunks complete instead of
   // being buffered in the report, so --json/--csv stay memory-bounded at
@@ -337,7 +288,7 @@ std::optional<SweepGrid> parse_grid(const Cli& cli, const char* subcommand) {
   return grid;
 }
 
-int cmd_sweep(const Cli& cli, const std::string& self) {
+int cmd_sweep(const Cli& cli) {
   const std::optional<SweepGrid> parsed = parse_grid(cli, "sweep");
   if (!parsed) return 2;
   const std::vector<std::string>& scenarios = parsed->scenarios;
@@ -365,7 +316,6 @@ int cmd_sweep(const Cli& cli, const std::string& self) {
           config.param_overrides = scenario_overrides(cli);
           if (!sweep_name.empty()) config.param_overrides[sweep_name] = value;
           config.runner = runner_options(cli);
-          config.worker_binary = self;
           config.runner.engine = parse_engine(engine);
           config.runner.protocol = parse_protocol(protocol);
           std::string label = scenario;
@@ -399,13 +349,22 @@ int cmd_sweep(const Cli& cli, const std::string& self) {
 // Re-run a recorded sweep from its manifests and prove the re-run
 // byte-identical (src/repro/replay.h). Exit 0 only when every cell's trial
 // records match the recording byte for byte; any mismatch exits 1 with a
-// divergence message naming the trial and field. --threads/--shards probe the
-// determinism contract by replaying under a different execution topology —
-// the bytes must not care.
-int cmd_replay(const Cli& cli, const std::string& self) {
+// divergence message naming the trial and field. --threads probes the
+// determinism contract by replaying under a different thread count — the
+// bytes must not care. Any other option is a usage error: a typo such as
+// --thread must never replay at the recorded topology and report success.
+int cmd_replay(const Cli& cli) {
+  const char* usage =
+      "usage: rumor_cli replay RECORDED.json [--threads T] [--strict-build]\n"
+      "(record one with `rumor_cli run/sweep --json`)\n";
+  for (const auto& [name, value] : cli.entries()) {
+    if (name != "threads" && name != "strict-build") {
+      std::cerr << "replay: unknown option '--" << name << "'\n" << usage;
+      return 2;
+    }
+  }
   if (cli.positionals().size() != 1) {
-    std::cerr << "usage: rumor_cli replay RECORDED.json [--threads T] [--shards N] "
-                 "[--strict-build]\n(record one with `rumor_cli run/sweep --json`)\n";
+    std::cerr << usage;
     return 2;
   }
   const std::string& path = cli.positionals().front();
@@ -417,9 +376,7 @@ int cmd_replay(const Cli& cli, const std::string& self) {
   const std::vector<RecordedCell> recording = load_recording(in);
 
   ReplayOptions options;
-  options.worker_binary = self;
   options.threads_override = static_cast<int>(cli.get_int("threads", 0));
-  options.shards_override = static_cast<int>(cli.get_int("shards", 0));
   options.strict_build = cli.get_bool("strict-build", false);
   options.build_info = RUMOR_BUILD_INFO;
 
@@ -443,10 +400,10 @@ int cmd_replay(const Cli& cli, const std::string& self) {
 // One {"record":"fingerprint",...} line per grid cell: a SHA-256 over the
 // canonical trial-record stream (src/repro/fingerprint.h), keyed by the
 // work-identifying manifest fields only — never the execution topology — so
-// fingerprint tables from different thread/shard counts, stdlibs, or
-// machines diff directly. With a recorded file as operand the fingerprints
+// fingerprint tables from different thread counts, stdlibs, or machines diff
+// directly. With a recorded file as operand the fingerprints
 // are computed from the recorded bytes instead of a re-run.
-int cmd_fingerprint(const Cli& cli, const std::string& self) {
+int cmd_fingerprint(const Cli& cli) {
   if (!cli.positionals().empty()) {
     for (const std::string& path : cli.positionals()) {
       std::ifstream in(path);
@@ -480,7 +437,6 @@ int cmd_fingerprint(const Cli& cli, const std::string& self) {
           config.param_overrides = scenario_overrides(cli);
           if (!grid->sweep_name.empty()) config.param_overrides[grid->sweep_name] = value;
           config.runner = runner_options(cli);
-          config.worker_binary = self;
           config.runner.engine = parse_engine(engine);
           config.runner.protocol = parse_protocol(protocol);
           config.runner.progress = make_progress(cli, scenario + " fingerprint");
@@ -547,8 +503,8 @@ int usage(std::ostream& os, int code) {
         "  replay RECORDED.json   re-run a recorded sweep from its manifests and\n"
         "            byte-diff the records; non-zero exit with a divergence\n"
         "            naming the trial/field on any mismatch. [--threads T]\n"
-        "            [--shards N] replay under a different topology (records\n"
-        "            must not care); [--strict-build] fail on build-id drift\n"
+        "            replay under a different thread count (records must not\n"
+        "            care); [--strict-build] fail on build-id drift\n"
         "  fingerprint            SHA-256 per cell over the canonical record\n"
         "            stream; grid options as sweep, or RECORDED.json operands\n"
         "            to fingerprint recordings without re-running them\n"
@@ -559,10 +515,6 @@ int usage(std::ostream& os, int code) {
         "  --scale     large-n preset: threads = hardware concurrency, trials 8\n"
         "              (explicit --threads/--trials win); results are always\n"
         "              bit-identical to --threads 1\n"
-        "  --shards N  sharded multi-process backend: the trial range splits\n"
-        "              across N worker subprocesses (threads divided between\n"
-        "              them), bounding per-process memory; records stay\n"
-        "              byte-identical to the in-process run\n"
         "  --progress  per-chunk 'done/total, elapsed, ETA' lines on stderr\n"
         "  --chunk C   trials aggregated per chunk (memory bound; 0 = auto)\n";
   return code;
@@ -580,14 +532,11 @@ int dispatch(int argc, char** argv) {
   const Cli cli(argc - 1, argv + 1, takes_operands);
   if (subcommand == "list") return cmd_list(cli);
   if (subcommand == "describe") return cmd_describe(cli);
-  if (subcommand == "run") return cmd_run(cli, self_binary_path(argv[0]));
-  if (subcommand == "sweep") return cmd_sweep(cli, self_binary_path(argv[0]));
-  if (subcommand == "replay") return cmd_replay(cli, self_binary_path(argv[0]));
-  if (subcommand == "fingerprint") return cmd_fingerprint(cli, self_binary_path(argv[0]));
+  if (subcommand == "run") return cmd_run(cli);
+  if (subcommand == "sweep") return cmd_sweep(cli);
+  if (subcommand == "replay") return cmd_replay(cli);
+  if (subcommand == "fingerprint") return cmd_fingerprint(cli);
   if (subcommand == "hwinfo") return cmd_hwinfo(std::cout);
-  // Hidden: one shard of a sharded run (spawned by the coordinator, not
-  // listed in usage).
-  if (subcommand == "worker") return cmd_worker(cli);
   std::cerr << "unknown subcommand '" << subcommand << "'\n\n";
   return usage(std::cerr, 2);
 }

@@ -11,7 +11,7 @@
 //
 // Requests use the rumor_cli field spellings as flat JSON, e.g.
 //   {"id":"q1","cmd":"run","scenario":"dynamic_star","n":64,"trials":5}
-// Execution topology (threads/chunk/shards/backend) is fixed by the daemon's
+// Execution topology (threads/chunk) is fixed by the daemon's
 // own flags and rejected inside requests — clients ask for experiments, not
 // placements, which is what keeps the manifest-keyed cache dense. Responses
 // are the same record streams rumor_cli emits, bracketed by serve_* records;
