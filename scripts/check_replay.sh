@@ -7,7 +7,9 @@
 #     are invariant to execution topology;
 #   negative — a deliberately perturbed record fails with a divergence
 #     message naming the trial and field; a corrupted manifest (unknown
-#     scenario) and a truncated recording fail with named, actionable errors;
+#     scenario), a manifest that repeats a field (which must never read as
+#     "first one wins") and a truncated recording fail with named, actionable
+#     errors;
 #     an option replay does not know (--shards, or the --thread typo) is a
 #     usage error naming it, never a silent replay at the recorded topology.
 #
@@ -65,6 +67,18 @@ fi
 grep -q "no_such_scenario" "$dir/err" \
   || { cat "$dir/err" >&2; fail "error does not name the unknown scenario"; }
 
+# --- negative: a repeated manifest field is a named error, exit 2 ----------
+sed 's/"trials":\([0-9]*\),"seed"/"trials":\1,"trials":\1,"seed"/' "$rec" > "$dir/dupkey.jsonl"
+cmp -s "$rec" "$dir/dupkey.jsonl" && fail "duplicate-key sed matched nothing"
+if "$cli" replay "$dir/dupkey.jsonl" > /dev/null 2> "$dir/err"; then
+  fail "replay accepted a manifest that repeats \"trials\""
+else
+  status=$?
+fi
+[ "$status" -eq 2 ] || { cat "$dir/err" >&2; fail "replay of a repeated key exited $status, not 2"; }
+grep -q "duplicate key 'trials'" "$dir/err" \
+  || { cat "$dir/err" >&2; fail "error does not name the duplicate key 'trials'"; }
+
 # --- negative: truncated records are detected before any re-run -------------
 sed '2d' "$rec" > "$dir/truncated.jsonl"
 if "$cli" replay "$dir/truncated.jsonl" > /dev/null 2> "$dir/err"; then
@@ -87,5 +101,5 @@ for arg in --shards=2 --thread=4 --bogus=7; do
 done
 
 echo "replay smoke OK: fresh recording byte-identical (incl. --threads 4);" \
-     "perturbed record, corrupt manifest, truncated records and unknown" \
-     "options all fail with named errors"
+     "perturbed record, corrupt manifest, repeated manifest field, truncated" \
+     "records and unknown options all fail with named errors"

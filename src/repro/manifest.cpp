@@ -1,6 +1,7 @@
 #include "repro/manifest.h"
 
 #include <istream>
+#include <limits>
 
 #include "support/contracts.h"
 #include "support/jsonl.h"
@@ -9,68 +10,57 @@ namespace rumor {
 
 namespace {
 
-// Required-field accessors: a manifest that lost a record-determining field
-// is corrupt, and the error must say which field and why it matters.
-std::string require_string(const std::string& object, const std::string& key) {
-  std::string value;
-  DG_REQUIRE(jsonl_get_string(object, key, &value),
-             "manifest is missing required field '" + key +
-                 "' (corrupted or pre-manifest recording)");
-  return value;
-}
-
-std::int64_t require_int(const std::string& object, const std::string& key) {
-  std::int64_t value = 0;
-  DG_REQUIRE(jsonl_get_int(object, key, &value),
-             "manifest is missing required field '" + key +
-                 "' (corrupted or pre-manifest recording)");
-  return value;
+// A field every manifest must carry: one that is missing makes the recording
+// corrupt, and the error says which field and why it matters.
+template <typename T>
+void require_field(const JsonObject& manifest, const std::string& key, T* out) {
+  DG_REQUIRE(manifest.get(key, out), "manifest is missing required field '" + key +
+                                         "' (corrupted or pre-manifest recording)");
 }
 
 }  // namespace
 
 ReproManifest parse_manifest(const std::string& summary_line) {
-  std::string object;
-  DG_REQUIRE(jsonl_get_object(summary_line, "manifest", &object),
-             "record carries no \"manifest\":{...} object — not a summary record, "
-             "or the manifest was truncated");
+  JsonObject object;
+  DG_REQUIRE(JsonObject(summary_line).get("manifest", &object),
+             "record carries no \"manifest\":{...} object — not a summary record");
 
   ReproManifest m;
-  m.scenario = require_string(object, "scenario");
-  m.engine = require_string(object, "engine");
-  m.protocol = require_string(object, "protocol");
-  const std::int64_t trials = require_int(object, "trials");
+  require_field(object, "scenario", &m.scenario);
+  require_field(object, "engine", &m.engine);
+  require_field(object, "protocol", &m.protocol);
+  std::int64_t trials = 0;
+  require_field(object, "trials", &trials);
   DG_REQUIRE(trials >= 1 && trials <= 1'000'000'000,
              "manifest field 'trials' is out of range: " + std::to_string(trials));
   m.trials = static_cast<int>(trials);
-  DG_REQUIRE(jsonl_get_uint(object, "seed", &m.seed),
-             "manifest is missing required field 'seed' "
-             "(corrupted or pre-manifest recording)");
+  require_field(object, "seed", &m.seed);
 
-  std::string params_object;
-  DG_REQUIRE(jsonl_get_object(object, "params", &params_object),
-             "manifest is missing its \"params\":{...} object");
-  DG_REQUIRE(jsonl_object_items(params_object, &m.params),
-             "manifest params are not a flat object of name/value pairs: " +
-                 params_object);
+  JsonObject params;
+  DG_REQUIRE(object.get("params", &params), "manifest is missing its \"params\":{...} object");
+  for (const JsonField& param : params.fields()) {
+    m.params.emplace_back(param.key, json_spelling(param));
+  }
 
   // Optional columns keep their RunnerOptions defaults when absent, so
   // recordings made before a column existed replay under the same semantics
   // they were recorded under.
-  jsonl_get_double(object, "clock_rate", &m.clock_rate);
-  jsonl_get_double(object, "time_limit", &m.time_limit);
-  jsonl_get_int(object, "round_limit", &m.round_limit);
-  jsonl_get_bool(object, "track_bounds", &m.track_bounds);
-  jsonl_get_double(object, "bound_c", &m.bound_c);
-  jsonl_get_int(object, "bound_continuation_cap", &m.bound_continuation_cap);
-  jsonl_get_double(object, "transmission_failure_prob", &m.transmission_failure_prob);
-  jsonl_get_int(object, "source", &m.source);
+  object.get("clock_rate", &m.clock_rate);
+  object.get("time_limit", &m.time_limit);
+  object.get("round_limit", &m.round_limit);
+  object.get("track_bounds", &m.track_bounds);
+  object.get("bound_c", &m.bound_c);
+  object.get("bound_continuation_cap", &m.bound_continuation_cap);
+  object.get("transmission_failure_prob", &m.transmission_failure_prob);
+  object.get("source", &m.source);
 
   std::int64_t threads = 1, chunk = 0;
-  jsonl_get_int(object, "threads", &threads);
-  jsonl_get_int(object, "chunk_trials", &chunk);
-  DG_REQUIRE(threads >= 1, "manifest field 'threads' is out of range: " +
-                               std::to_string(threads));
+  object.get("threads", &threads);
+  object.get("chunk_trials", &chunk);
+  DG_REQUIRE(threads >= 1 && threads <= std::numeric_limits<int>::max(),
+             "manifest field 'threads' is out of range: " + std::to_string(threads));
+  DG_REQUIRE(chunk >= 0 && chunk <= std::numeric_limits<int>::max(),
+             "manifest field 'chunk_trials' is out of range: " + std::to_string(chunk));
   m.threads = static_cast<int>(threads);
   m.chunk_trials = static_cast<int>(chunk);
 
@@ -79,15 +69,15 @@ ReproManifest parse_manifest(const std::string& summary_line) {
   // they are still checked, because a recording that spells them wrong is
   // corrupt.
   std::int64_t shards = 1;
-  jsonl_get_int(object, "shards", &shards);
+  object.get("shards", &shards);
   DG_REQUIRE(shards >= 1,
              "manifest field 'shards' is out of range: " + std::to_string(shards));
   std::string backend;
-  jsonl_get_string(object, "backend", &backend);
+  object.get("backend", &backend);
   DG_REQUIRE(backend.empty() || backend == "in-process" || backend == "sharded",
              "manifest field 'backend' names no known execution backend: '" + backend +
                  "' (known: in-process, sharded)");
-  jsonl_get_string(object, "build", &m.build);
+  object.get("build", &m.build);
   return m;
 }
 
@@ -99,11 +89,16 @@ std::vector<RecordedCell> load_recording(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty()) continue;
+    const std::string where = "line " + std::to_string(line_number) + " of the recording";
     std::string kind;
-    DG_REQUIRE(jsonl_get_string(line, "record", &kind),
-               "line " + std::to_string(line_number) +
-                   " of the recording has no \"record\" field — truncated or "
-                   "not JSON-lines output of rumor_cli --json");
+    bool has_kind = false;
+    try {
+      has_kind = JsonObject(line).get("record", &kind);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(where + ": " + e.what());
+    }
+    DG_REQUIRE(has_kind, where + " has no \"record\" field — not JSON-lines output of "
+                                 "rumor_cli --json");
     if (kind == "trial") {
       pending.push_back(line);
     } else if (kind == "summary") {

@@ -1,5 +1,7 @@
 #include "repro/record_diff.h"
 
+#include <stdexcept>
+
 #include "support/jsonl.h"
 
 namespace rumor {
@@ -10,55 +12,53 @@ namespace {
 // stream position otherwise.
 int trial_index(const std::string& line, std::size_t position) {
   std::int64_t trial = -1;
-  if (jsonl_get_int(line, "trial", &trial)) return static_cast<int>(trial);
+  try {
+    if (JsonObject(line).get("trial", &trial)) return static_cast<int>(trial);
+  } catch (const std::invalid_argument&) {
+  }
   return static_cast<int>(position);
 }
 
 // Labels one established byte divergence by walking both records' fields in
-// order. Falls back to whole-line reporting when either side is not a flat
-// record (e.g. the recording was cut mid-line).
+// order, comparing values as written. Reports whole lines when no field value
+// differs or either side is not a JSON record (e.g. it was cut mid-line).
 RecordDivergence label_divergence(const std::string& recorded,
                                   const std::string& replayed, std::size_t position) {
   RecordDivergence d;
   d.trial = trial_index(recorded, position);
-  std::vector<std::pair<std::string, std::string>> rec_items, rep_items;
-  if (!jsonl_object_items(recorded, &rec_items) ||
-      !jsonl_object_items(replayed, &rep_items)) {
-    d.field = "";
-    d.expected = recorded;
-    d.actual = replayed;
-    d.message = "trial " + std::to_string(d.trial) +
-                ": record diverged and is not a flat JSON record on both sides "
-                "(recorded line: " + recorded + ")";
-    return d;
-  }
-  const std::size_t common = std::min(rec_items.size(), rep_items.size());
-  for (std::size_t i = 0; i < common; ++i) {
-    if (rec_items[i].first != rep_items[i].first) {
-      d.field = rec_items[i].first;
-      d.expected = rec_items[i].first;
-      d.actual = rep_items[i].first;
-      d.message = "trial " + std::to_string(d.trial) + ": record structure diverged — "
-                  "field #" + std::to_string(i) + " is '" + rec_items[i].first +
-                  "' in the recording but '" + rep_items[i].first + "' in the replay";
-      return d;
-    }
-    if (rec_items[i].second != rep_items[i].second) {
-      d.field = rec_items[i].first;
-      d.expected = rec_items[i].second;
-      d.actual = rep_items[i].second;
-      d.message = "trial " + std::to_string(d.trial) + ": field '" + d.field +
-                  "' diverged (recorded " + d.expected + ", replayed " + d.actual + ")";
-      return d;
-    }
-  }
-  // Same fields, same values, different bytes: whitespace/ordering damage.
-  d.field = "";
   d.expected = recorded;
   d.actual = replayed;
-  d.message = "trial " + std::to_string(d.trial) +
-              ": record bytes diverged outside any field value "
-              "(formatting or field-count damage)";
+  const std::string trial = "trial " + std::to_string(d.trial);
+  try {
+    const JsonObject rec(recorded), rep(replayed);
+    const std::size_t common = std::min(rec.fields().size(), rep.fields().size());
+    for (std::size_t i = 0; i < common; ++i) {
+      const JsonField& a = rec.fields()[i];
+      const JsonField& b = rep.fields()[i];
+      if (a.key == b.key && a.text == b.text) continue;
+      d.field = a.key;
+      if (a.key != b.key) {
+        d.expected = a.key;
+        d.actual = b.key;
+        d.message = trial + ": record structure diverged — field #" + std::to_string(i) +
+                    " is '" + d.expected + "' in the recording but '" + d.actual +
+                    "' in the replay";
+      } else {
+        d.expected = a.text;
+        d.actual = b.text;
+        d.message = trial + ": field '" + d.field + "' diverged (recorded " + d.expected +
+                    ", replayed " + d.actual + ")";
+      }
+      return d;
+    }
+  } catch (const std::invalid_argument& e) {
+    d.message = trial + ": record diverged and is not a JSON record on both sides (" +
+                e.what() + "; recorded line: " + recorded + ")";
+    return d;
+  }
+  // Same fields, same values, different bytes: whitespace/ordering damage.
+  d.message = trial + ": record bytes diverged outside any field value "
+                      "(formatting or field-count damage)";
   return d;
 }
 

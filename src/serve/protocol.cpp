@@ -1,10 +1,10 @@
 #include "serve/protocol.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "repro/resolver.h"
 #include "serve/cache.h"
@@ -49,74 +49,44 @@ std::vector<std::string> split_list(const std::string& text) {
   return out;
 }
 
-// Typed accessors over the request's option list, each failing with the
-// field named.
-class RequestView {
- public:
-  explicit RequestView(const ServeRequest& request) {
-    for (const auto& [name, value] : request.options) values_.emplace(name, value);
+// The request's value for `name`, or nullptr when the request has none.
+const std::string* find_option(const ServeRequest& request, std::string_view name) {
+  for (const auto& option : request.options) {
+    if (option.first == name) return &option.second;
   }
+  return nullptr;
+}
 
-  bool has(const std::string& name) const { return values_.count(name) != 0; }
-
-  std::string get(const std::string& name, const std::string& fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
+// An option as text, or converted as strictly as a recorded JSON scalar.
+template <typename T>
+T option_or(const ServeRequest& request, std::string_view name, T fallback) {
+  const std::string* value = find_option(request, name);
+  if (value == nullptr) return fallback;
+  if constexpr (std::is_same_v<T, std::string>) {
+    return *value;
+  } else {
+    return json_scalar<T>(*value, name);
   }
-
-  std::int64_t get_int(const std::string& name, std::int64_t fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
-      bad_request("field '" + name + "' expects an integer, got '" + it->second + "'");
-    }
-    return static_cast<std::int64_t>(v);
-  }
-
-  double get_double(const std::string& name, double fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') {
-      bad_request("field '" + name + "' expects a number, got '" + it->second + "'");
-    }
-    return v;
-  }
-
-  bool get_bool(const std::string& name, bool fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    if (it->second == "true") return true;
-    if (it->second == "false") return false;
-    bad_request("field '" + name + "' expects true or false, got '" + it->second + "'");
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+}
 
 }  // namespace
 
 ServeRequest parse_request(const std::string& line) {
-  std::vector<std::pair<std::string, std::string>> items;
-  if (!jsonl_object_items(line, &items)) {
-    bad_request("not a flat JSON object: " + line);
-  }
   ServeRequest request;
-  std::set<std::string> seen;
-  for (auto& [name, value] : items) {
-    if (!seen.insert(name).second) bad_request("field '" + name + "' appears twice");
-    if (name == "id") {
-      request.id = value;
-    } else if (name == "cmd") {
-      request.cmd = value;
-    } else {
-      request.options.emplace_back(name, std::move(value));
+  try {
+    const JsonObject object(line);
+    for (const JsonField& field : object.fields()) {
+      std::string value = json_spelling(field);
+      if (field.key == "id") {
+        request.id = std::move(value);
+      } else if (field.key == "cmd") {
+        request.cmd = std::move(value);
+      } else {
+        request.options.emplace_back(field.key, std::move(value));
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    bad_request(std::string("not a flat JSON object: ") + e.what());
   }
   if (request.cmd.empty()) bad_request("missing 'cmd' field");
   return request;
@@ -124,7 +94,6 @@ ServeRequest parse_request(const std::string& line) {
 
 std::vector<ResolvedCell> resolve_request_cells(const ServeRequest& request,
                                                 const ServeLimits& limits) {
-  const RequestView view(request);
   for (const auto& option : request.options) {
     if (rejected_fields().count(option.first) != 0) {
       bad_request("field '" + option.first +
@@ -136,25 +105,27 @@ std::vector<ResolvedCell> resolve_request_cells(const ServeRequest& request,
   const bool single_cell = request.cmd == "run" || request.cmd == "bounds";
   if (single_cell) {
     for (const char* plural : {"scenarios", "engines", "protocols", "sweep"}) {
-      if (view.has(plural)) {
+      if (find_option(request, plural) != nullptr) {
         bad_request("'" + request.cmd + "' takes a single cell; '" +
                     std::string(plural) + "' is a sweep/fingerprint field");
       }
     }
   }
 
-  const std::vector<std::string> scenarios =
-      split_list(view.get("scenarios", view.get("scenario", "")));
+  // A grid axis: the plural field's list, else the singular field, else a default.
+  const auto axis = [&request](const char* plural, const char* singular, const char* fallback) {
+    const std::string single = option_or<std::string>(request, singular, fallback);
+    return split_list(option_or(request, plural, single));
+  };
+  const std::vector<std::string> scenarios = axis("scenarios", "scenario", "");
   if (scenarios.empty()) bad_request("missing 'scenario' (or 'scenarios') field");
-  const std::vector<std::string> engines =
-      split_list(view.get("engines", view.get("engine", "async_jump")));
-  const std::vector<std::string> protocols =
-      split_list(view.get("protocols", view.get("protocol", "push_pull")));
+  const std::vector<std::string> engines = axis("engines", "engine", "async_jump");
+  const std::vector<std::string> protocols = axis("protocols", "protocol", "push_pull");
 
   std::string sweep_name;
   std::vector<std::string> sweep_values = {""};
-  if (view.has("sweep")) {
-    const std::string sweep = view.get("sweep", "");
+  if (const std::string* sweep_option = find_option(request, "sweep")) {
+    const std::string& sweep = *sweep_option;
     const auto eq = sweep.find('=');
     if (eq == std::string::npos || split_list(sweep.substr(eq + 1)).empty()) {
       bad_request("'sweep' expects name=v1,v2,... got '" + sweep + "'");
@@ -163,7 +134,7 @@ std::vector<ResolvedCell> resolve_request_cells(const ServeRequest& request,
     sweep_values = split_list(sweep.substr(eq + 1));
   }
 
-  const std::int64_t trials = view.get_int("trials", 30);
+  const std::int64_t trials = option_or<std::int64_t>(request, "trials", 30);
   if (trials < 1 || trials > limits.max_trials) {
     bad_request("'trials' must be in [1, " + std::to_string(limits.max_trials) +
                 "], got " + std::to_string(trials));
@@ -201,17 +172,17 @@ std::vector<ResolvedCell> resolve_request_cells(const ServeRequest& request,
           manifest.engine = to_string(parse_engine(engine));
           manifest.protocol = to_string(parse_protocol(protocol));
           manifest.trials = static_cast<int>(trials);
-          manifest.seed = static_cast<std::uint64_t>(view.get_int("seed", 1));
-          manifest.clock_rate = view.get_double("clock_rate", manifest.clock_rate);
-          manifest.time_limit = view.get_double("time_limit", manifest.time_limit);
-          manifest.round_limit = view.get_int("round_limit", manifest.round_limit);
+          manifest.seed = option_or<std::uint64_t>(request, "seed", 1);
+          manifest.clock_rate = option_or(request, "clock_rate", manifest.clock_rate);
+          manifest.time_limit = option_or(request, "time_limit", manifest.time_limit);
+          manifest.round_limit = option_or(request, "round_limit", manifest.round_limit);
           manifest.track_bounds =
-              request.cmd == "bounds" || view.get_bool("track_bounds", false);
-          manifest.bound_c = view.get_double("bound_c", manifest.bound_c);
+              request.cmd == "bounds" || option_or(request, "track_bounds", false);
+          manifest.bound_c = option_or(request, "bound_c", manifest.bound_c);
           manifest.bound_continuation_cap =
-              view.get_int("bound_cap", manifest.bound_continuation_cap);
-          manifest.transmission_failure_prob = view.get_double("failure", 0.0);
-          manifest.source = view.get_int("source", -1);
+              option_or(request, "bound_cap", manifest.bound_continuation_cap);
+          manifest.transmission_failure_prob = option_or(request, "failure", 0.0);
+          manifest.source = option_or<std::int64_t>(request, "source", -1);
           manifest.threads = limits.job_threads;
           manifest.chunk_trials = 0;
 

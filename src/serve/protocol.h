@@ -39,12 +39,14 @@ namespace rumor {
 struct ServeRequest {
   std::string id;   // echoed in every response record; may be empty
   std::string cmd;  // run | bounds | sweep | fingerprint | stats | shutdown
-  // Every other field, in source order, values with string quotes stripped.
+  // Every other field, in source order, spelled by json_spelling (strings
+  // decoded, numbers as written).
   std::vector<std::pair<std::string, std::string>> options;
 };
 
-// Parses one request line. Throws std::invalid_argument (naming the problem)
-// on text that is not a flat JSON object, lacks `cmd`, or repeats a field.
+// Parses one request line through support/jsonl.h's strict reader. Throws
+// std::invalid_argument (naming the problem) on text that is not a flat JSON
+// object, lacks `cmd`, or repeats a field.
 ServeRequest parse_request(const std::string& line);
 
 // Server-side resolution policy: the execution-topology and job-size budget

@@ -5,6 +5,7 @@
 #include <exception>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -253,6 +254,9 @@ void ServeServer::serve_connection(Socket& socket) {
     bool more = false;
     try {
       more = reader.drain(lines);
+    } catch (const std::length_error& e) {
+      sink(error_record("", std::string("bad request: ") + e.what()));
+      break;  // the rest of that line cannot be framed; drop the connection
     } catch (const std::exception&) {
       break;  // read error (e.g. reset) — client load, not a server fault
     }

@@ -1,12 +1,9 @@
 // Tests for the execution layer (src/exec/): the counter-based trial_offset
 // contract that makes a batch split into offset sub-batches reproduce the
 // full run, the records' invariance to threads and chunk size, the execution
-// topology the manifest records, and the support/jsonl framing and scanners.
+// topology the manifest records.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,8 +13,6 @@
 #include "graph/builders.h"
 #include "dynamic/simple_networks.h"
 #include "scenarios/experiment.h"
-#include "support/json.h"
-#include "support/jsonl.h"
 
 namespace rumor {
 namespace {
@@ -112,53 +107,6 @@ TEST(Manifest, RecordsExecutionTopology) {
   EXPECT_EQ(summary.find("\"backend\""), std::string::npos);
   EXPECT_EQ(summary.find("\"shards\""), std::string::npos);
   EXPECT_EQ(summary.find("\"worker_cmd\""), std::string::npos);
-}
-
-// --- support/jsonl ----------------------------------------------------------
-
-TEST(Jsonl, ScannersExtractTopLevelFields) {
-  const std::string line =
-      "{\"record\":\"trial\",\"scenario\":\"edge_markovian\",\"trial\":42,"
-      "\"completed\":true,\"spread_time\":19.425733953796847,"
-      "\"theorem11_crossing\":-1}";
-  std::string s;
-  std::int64_t i = 0;
-  double d = 0;
-  bool b = false;
-  EXPECT_TRUE(jsonl_get_string(line, "record", &s));
-  EXPECT_EQ(s, "trial");
-  EXPECT_TRUE(jsonl_get_string(line, "scenario", &s));
-  EXPECT_EQ(s, "edge_markovian");
-  EXPECT_TRUE(jsonl_get_int(line, "trial", &i));
-  EXPECT_EQ(i, 42);
-  EXPECT_TRUE(jsonl_get_int(line, "theorem11_crossing", &i));
-  EXPECT_EQ(i, -1);
-  EXPECT_TRUE(jsonl_get_bool(line, "completed", &b));
-  EXPECT_TRUE(b);
-  // The parsed double must round-trip the record's bits exactly.
-  EXPECT_TRUE(jsonl_get_double(line, "spread_time", &d));
-  EXPECT_EQ(json_number(d), "19.425733953796847");
-  EXPECT_FALSE(jsonl_get_int(line, "absent", &i));
-  EXPECT_FALSE(jsonl_get_bool(line, "trial", &b));
-}
-
-TEST(Jsonl, LineReaderFramesAndKeepsPartialTail) {
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  const char* payload = "{\"a\":1}\n{\"b\":2}\n{\"trunc";
-  ASSERT_EQ(write(fds[1], payload, strlen(payload)),
-            static_cast<ssize_t>(strlen(payload)));
-  close(fds[1]);
-  LineReader reader(fds[0]);
-  std::vector<std::string> lines;
-  while (reader.drain(lines)) {
-  }
-  close(fds[0]);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "{\"a\":1}");
-  EXPECT_EQ(lines[1], "{\"b\":2}");
-  EXPECT_TRUE(reader.eof());
-  EXPECT_EQ(reader.partial(), "{\"trunc");
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "repro/replay.h"
 #include "repro/resolver.h"
 #include "scenarios/experiment.h"
-#include "support/jsonl.h"
 #include "support/sha256.h"
 
 namespace rumor {
@@ -90,40 +89,6 @@ TEST(Sha256, IncrementalMatchesOneShotAndResets) {
   // hex_digest resets: the same instance hashes the next message cleanly.
   hasher.update("abc");
   EXPECT_EQ(hasher.hex_digest(), sha256_hex("abc"));
-}
-
-// --- jsonl object extraction ------------------------------------------------
-
-TEST(JsonlObject, ExtractsBalancedNestedObject) {
-  const std::string line =
-      R"({"record":"summary","manifest":{"scenario":"x","params":{"n":"8"},"seed":7},"mean":1.5})";
-  std::string manifest;
-  ASSERT_TRUE(jsonl_get_object(line, "manifest", &manifest));
-  EXPECT_EQ(manifest, R"({"scenario":"x","params":{"n":"8"},"seed":7})");
-  std::string params;
-  ASSERT_TRUE(jsonl_get_object(manifest, "params", &params));
-  EXPECT_EQ(params, R"({"n":"8"})");
-  EXPECT_FALSE(jsonl_get_object(line, "mean", &params));     // not an object
-  EXPECT_FALSE(jsonl_get_object(line, "absent", &params));   // missing key
-}
-
-TEST(JsonlObject, UnterminatedObjectIsTruncationEvidence) {
-  std::string out;
-  EXPECT_FALSE(jsonl_get_object(R"({"manifest":{"scenario":"x")", "manifest", &out));
-}
-
-TEST(JsonlObject, ItemsPreserveOrderAndUnquoteStrings) {
-  std::vector<std::pair<std::string, std::string>> items;
-  ASSERT_TRUE(jsonl_object_items(R"({"n":"128","p":8e-05,"flag":true})", &items));
-  ASSERT_EQ(items.size(), 3u);
-  EXPECT_EQ(items[0], (std::pair<std::string, std::string>{"n", "128"}));
-  EXPECT_EQ(items[1], (std::pair<std::string, std::string>{"p", "8e-05"}));
-  EXPECT_EQ(items[2], (std::pair<std::string, std::string>{"flag", "true"}));
-
-  ASSERT_TRUE(jsonl_object_items("{}", &items));
-  EXPECT_TRUE(items.empty());
-  EXPECT_FALSE(jsonl_object_items(R"({"a":{"b":1}})", &items));  // not flat
-  EXPECT_FALSE(jsonl_object_items("not json", &items));
 }
 
 // --- manifest parsing -------------------------------------------------------

@@ -5,14 +5,20 @@
 // deterministic rejection, the request protocol's parse/resolve failure
 // modes, and the full request path through ServeServer::handle_request_line —
 // miss-then-hit byte identity, bounds/fingerprint verbs, dead-client
-// mid-response behavior, and the socket transport's EOF/dead-peer reporting.
+// mid-response behavior, the socket transport's EOF/dead-peer reporting, and
+// the daemon's answer to a line longer than the LineReader cap.
 // The daemon half (real sockets, concurrent clients, signals, clean
 // shutdown) lives in scripts/serve_load.sh and scripts/check_serve_cli.sh.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -475,6 +481,55 @@ TEST(SocketTransport, LinesRoundTripAndEofIsReported) {
   EXPECT_EQ(lines[0], "hello");
   EXPECT_EQ(lines[1], "world");
   EXPECT_TRUE(reader.eof());
+}
+
+// A client that never sends a newline gets a serve_error naming the line cap
+// and loses its connection; the daemon keeps serving everyone else.
+TEST(SocketTransport, OverlongLineClosesOnlyThatConnection) {
+  const std::string path = "/tmp/rumor_test_" + std::to_string(::getpid()) + "c.sock";
+  ServeServer server(small_server());
+  std::ostringstream log;
+  struct Serving {  // stopped and joined on every exit, failed assertions too
+    ServeServer& server;
+    std::thread thread;
+    ~Serving() {
+      server.request_stop();
+      thread.join();
+    }
+  } serving{server, std::thread([&] { server.serve(path, log); })};
+  const auto connect = [&path] {
+    for (int attempt = 0;; ++attempt) {
+      try {
+        return connect_unix(path);
+      } catch (const std::runtime_error&) {
+        if (attempt > 10000) throw;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  };
+  // Lines read until `count` arrived or the server closed the connection.
+  const auto read_lines = [](Socket& socket, std::size_t count) {
+    LineReader reader(socket.fd());
+    std::vector<std::string> lines;
+    while (lines.size() < count && reader.drain(lines)) {
+    }
+    return lines;
+  };
+
+  Socket hog = connect();
+  ASSERT_TRUE(hog.write_all(std::string(kMaxLineBytes + 1, 'x')));
+  ::shutdown(hog.fd(), SHUT_WR);  // a daemon without the cap sees EOF instead of waiting
+  const std::vector<std::string> refused = read_lines(hog, 2);
+  ASSERT_EQ(refused.size(), 1u) << "one serve_error, then the connection closes";
+  EXPECT_EQ(get_field(refused[0], "record"), "serve_error");
+  const std::string error = get_field(refused[0], "error");
+  EXPECT_NE(error.find(std::to_string(kMaxLineBytes)), std::string::npos) << error;
+
+  Socket other = connect();
+  ASSERT_TRUE(other.write_all("{\"id\":\"s\",\"cmd\":\"stats\"}\n"));
+  const std::vector<std::string> served = read_lines(other, 1);
+  ASSERT_EQ(served.size(), 1u);
+  EXPECT_EQ(get_field(served[0], "record"), "serve_stats");
 }
 
 TEST(SocketTransport, WriteToDeadPeerReturnsFalseNotSignal) {
