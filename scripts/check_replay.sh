@@ -8,8 +8,9 @@
 #   negative — a deliberately perturbed record fails with a divergence
 #     message naming the trial and field; a corrupted manifest (unknown
 #     scenario), a manifest that repeats a field (which must never read as
-#     "first one wins") and a truncated recording fail with named, actionable
-#     errors;
+#     "first one wins"), a source outside the 32-bit node range (which must
+#     never be narrowed) and a truncated recording fail with named,
+#     actionable errors;
 #     an option replay does not know (--shards, or the --thread typo) is a
 #     usage error naming it, never a silent replay at the recorded topology.
 #
@@ -79,6 +80,20 @@ fi
 grep -q "duplicate key 'trials'" "$dir/err" \
   || { cat "$dir/err" >&2; fail "error does not name the duplicate key 'trials'"; }
 
+# --- negative: an out-of-range source is a named error, exit 2 -------------
+# NodeId is 32-bit: 2^32 must be rejected, not narrowed to source 0.
+sed 's/"source":-1,/"source":4294967296,/' "$rec" > "$dir/bigsource.jsonl"
+cmp -s "$rec" "$dir/bigsource.jsonl" && fail "source sed matched nothing"
+if "$cli" replay "$dir/bigsource.jsonl" > /dev/null 2> "$dir/err"; then
+  fail "replay accepted a manifest with \"source\":4294967296"
+else
+  status=$?
+fi
+[ "$status" -eq 2 ] \
+  || { cat "$dir/err" >&2; fail "replay of an out-of-range source exited $status, not 2"; }
+grep -q "'source' is out of range" "$dir/err" \
+  || { cat "$dir/err" >&2; fail "error does not name the out-of-range 'source'"; }
+
 # --- negative: truncated records are detected before any re-run -------------
 sed '2d' "$rec" > "$dir/truncated.jsonl"
 if "$cli" replay "$dir/truncated.jsonl" > /dev/null 2> "$dir/err"; then
@@ -101,5 +116,6 @@ for arg in --shards=2 --thread=4 --bogus=7; do
 done
 
 echo "replay smoke OK: fresh recording byte-identical (incl. --threads 4);" \
-     "perturbed record, corrupt manifest, repeated manifest field, truncated" \
-     "records and unknown options all fail with named errors"
+     "perturbed record, corrupt manifest, repeated manifest field," \
+     "out-of-range source, truncated records and unknown options all fail" \
+     "with named errors"

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "repro/manifest.h"
+#include "scenarios/experiment.h"
 #include "support/json.h"
 
 namespace rumor {
@@ -12,18 +14,15 @@ std::string fingerprint_records(const std::vector<std::string>& record_lines) {
   return hasher.finish();
 }
 
-void emit_fingerprint_json(std::ostream& os, const CellFingerprint& fp) {
+void emit_fingerprint_json(std::ostream& os, const ReproManifest& manifest,
+                           const std::string& sha256) {
   JsonWriter json(os);
-  json.begin_object().field("record", "fingerprint").field("scenario", fp.scenario);
+  json.begin_object().field("record", "fingerprint").field("scenario", manifest.scenario);
   json.key("params").begin_object();
-  for (const auto& [name, value] : fp.params) json.field(name, value);
+  for (const auto& [name, value] : manifest.params) json.field(name, value);
   json.end_object();
-  json.field("engine", fp.engine)
-      .field("protocol", fp.protocol)
-      .field("trials", fp.trials)
-      .field("seed", fp.seed)
-      .field("sha256", fp.sha256)
-      .end_object();
+  write_runner_columns(json, manifest.runner, /*identity_only=*/true);
+  json.field("sha256", sha256).end_object();
   os << '\n';
 }
 

@@ -14,12 +14,13 @@
 
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "support/sha256.h"
 
 namespace rumor {
+
+struct ReproManifest;
 
 // Streaming hasher for the canonical record stream: add() each record line
 // (without its trailing newline; the hasher supplies it) in trial order.
@@ -48,21 +49,12 @@ class RecordHasher {
 // One-shot form over buffered record lines (e.g. a loaded recording's cell).
 std::string fingerprint_records(const std::vector<std::string>& record_lines);
 
-// One fingerprint record, keyed by the work-identifying manifest fields only:
-// the topology (threads/chunk) is deliberately absent, which is what
-// makes fingerprint tables from different execution topologies directly
-// diffable.
-struct CellFingerprint {
-  std::string scenario;
-  std::vector<std::pair<std::string, std::string>> params;
-  std::string engine;
-  std::string protocol;
-  int trials = 0;
-  std::uint64_t seed = 1;
-  std::string sha256;
-};
-
-// One {"record":"fingerprint",...} JSON line.
-void emit_fingerprint_json(std::ostream& os, const CellFingerprint& fp);
+// One {"record":"fingerprint",...} JSON line for the cell `manifest` names:
+// its scenario, params and identity runner columns (engine, protocol,
+// trials, seed), then `sha256`. The execution topology is deliberately
+// absent, which is what makes fingerprint tables from different thread
+// counts directly diffable.
+void emit_fingerprint_json(std::ostream& os, const ReproManifest& manifest,
+                           const std::string& sha256);
 
 }  // namespace rumor

@@ -1,68 +1,50 @@
 #include "repro/manifest.h"
 
 #include <istream>
-#include <limits>
+#include <string_view>
+#include <type_traits>
 
+#include "scenarios/experiment.h"
 #include "support/contracts.h"
 #include "support/jsonl.h"
 
 namespace rumor {
 
-namespace {
-
-// A field every manifest must carry: one that is missing makes the recording
-// corrupt, and the error says which field and why it matters.
-template <typename T>
-void require_field(const JsonObject& manifest, const std::string& key, T* out) {
-  DG_REQUIRE(manifest.get(key, out), "manifest is missing required field '" + key +
-                                         "' (corrupted or pre-manifest recording)");
-}
-
-}  // namespace
-
 ReproManifest parse_manifest(const std::string& summary_line) {
   JsonObject object;
   DG_REQUIRE(JsonObject(summary_line).get("manifest", &object),
              "record carries no \"manifest\":{...} object — not a summary record");
+  const auto missing = [](std::string_view key) {
+    return "manifest is missing required field '" + std::string(key) +
+           "' (corrupted or pre-manifest recording)";
+  };
 
   ReproManifest m;
-  require_field(object, "scenario", &m.scenario);
-  require_field(object, "engine", &m.engine);
-  require_field(object, "protocol", &m.protocol);
-  std::int64_t trials = 0;
-  require_field(object, "trials", &trials);
-  DG_REQUIRE(trials >= 1 && trials <= 1'000'000'000,
-             "manifest field 'trials' is out of range: " + std::to_string(trials));
-  m.trials = static_cast<int>(trials);
-  require_field(object, "seed", &m.seed);
-
+  DG_REQUIRE(object.get("scenario", &m.scenario), missing("scenario"));
   JsonObject params;
   DG_REQUIRE(object.get("params", &params), "manifest is missing its \"params\":{...} object");
   for (const JsonField& param : params.fields()) {
     m.params.emplace_back(param.key, json_spelling(param));
   }
 
-  // Optional columns keep their RunnerOptions defaults when absent, so
-  // recordings made before a column existed replay under the same semantics
-  // they were recorded under.
-  object.get("clock_rate", &m.clock_rate);
-  object.get("time_limit", &m.time_limit);
-  object.get("round_limit", &m.round_limit);
-  object.get("track_bounds", &m.track_bounds);
-  object.get("bound_c", &m.bound_c);
-  object.get("bound_continuation_cap", &m.bound_continuation_cap);
-  object.get("transmission_failure_prob", &m.transmission_failure_prob);
-  object.get("source", &m.source);
-
-  std::int64_t threads = 1, chunk = 0;
-  object.get("threads", &threads);
-  object.get("chunk_trials", &chunk);
-  DG_REQUIRE(threads >= 1 && threads <= std::numeric_limits<int>::max(),
-             "manifest field 'threads' is out of range: " + std::to_string(threads));
-  DG_REQUIRE(chunk >= 0 && chunk <= std::numeric_limits<int>::max(),
-             "manifest field 'chunk_trials' is out of range: " + std::to_string(chunk));
-  m.threads = static_cast<int>(threads);
-  m.chunk_trials = static_cast<int>(chunk);
+  // A column that is absent keeps its RunnerOptions default, so recordings
+  // made before it existed replay under the semantics they were recorded
+  // under; only the identity columns are required.
+  for_each_runner_column(m.runner, [&](const RunnerColumn& column, auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    const JsonField* field = object.find(column.name);
+    if (field == nullptr) {
+      DG_REQUIRE(!column.identity, missing(column.name));
+    } else if constexpr (std::is_same_v<T, EngineKind>) {
+      value = parse_engine(json_spelling(*field));
+    } else if constexpr (std::is_same_v<T, Protocol>) {
+      value = parse_protocol(json_spelling(*field));
+    } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+      value = static_cast<T>(column.checked(json_scalar<std::int64_t>(field->text, field->key)));
+    } else {
+      value = json_scalar<T>(field->text, field->key);
+    }
+  });
 
   // Legacy placement columns (backend, shards, worker_cmd) never determined
   // the record bytes, so replay runs such cells in-process and ignores them;
@@ -108,11 +90,12 @@ std::vector<RecordedCell> load_recording(std::istream& in) {
       cell.trial_lines = std::move(pending);
       pending.clear();
       DG_REQUIRE(
-          static_cast<int>(cell.trial_lines.size()) == cell.manifest.trials,
+          static_cast<int>(cell.trial_lines.size()) == cell.manifest.runner.trials,
           "truncated records: cell '" + cell.manifest.scenario + " " +
-              cell.manifest.engine + " " + cell.manifest.protocol + "' has " +
+              to_string(cell.manifest.runner.engine) + " " +
+              to_string(cell.manifest.runner.protocol) + "' has " +
               std::to_string(cell.trial_lines.size()) + " trial records but its "
-              "manifest promises " + std::to_string(cell.manifest.trials));
+              "manifest promises " + std::to_string(cell.manifest.runner.trials));
       cells.push_back(std::move(cell));
     }
     // Other record kinds (scenario_matrix, microbench, perf_counters,

@@ -35,7 +35,8 @@ ReplayReport replay_recording(const std::vector<RecordedCell>& recording,
   for (const RecordedCell& cell : recording) {
     const ReproManifest& m = cell.manifest;
     CellReplayResult out;
-    out.label = m.scenario + " " + m.engine + " " + m.protocol;
+    out.label =
+        m.scenario + " " + to_string(m.runner.engine) + " " + to_string(m.runner.protocol);
 
     if (!m.build.empty() && !options.build_info.empty() && m.build != options.build_info) {
       DG_REQUIRE(!options.strict_build,

@@ -3,7 +3,6 @@
 #include <map>
 
 #include "support/contracts.h"
-#include "support/json.h"
 
 namespace rumor {
 
@@ -37,21 +36,7 @@ ExperimentConfig resolve_manifest(const ReproManifest& manifest) {
   ExperimentConfig config;
   config.scenario = manifest.scenario;
   config.param_overrides = overrides;
-  RunnerOptions& opt = config.runner;
-  opt.engine = parse_engine(manifest.engine);
-  opt.protocol = parse_protocol(manifest.protocol);
-  opt.trials = manifest.trials;
-  opt.seed = manifest.seed;
-  opt.clock_rate = manifest.clock_rate;
-  opt.time_limit = manifest.time_limit;
-  opt.round_limit = manifest.round_limit;
-  opt.track_bounds = manifest.track_bounds;
-  opt.bound_c = manifest.bound_c;
-  opt.bound_continuation_cap = manifest.bound_continuation_cap;
-  opt.transmission_failure_prob = manifest.transmission_failure_prob;
-  opt.source = static_cast<NodeId>(manifest.source);
-  opt.threads = manifest.threads;
-  opt.chunk_trials = manifest.chunk_trials;
+  config.runner = manifest.runner;
   return config;
 }
 
@@ -59,31 +44,11 @@ std::string manifest_divergence(const ReproManifest& recorded,
                                 const ReproManifest& replayed) {
   if (recorded.scenario != replayed.scenario) return "scenario";
   if (recorded.params != replayed.params) return "params";
-  if (recorded.engine != replayed.engine) return "engine";
-  if (recorded.protocol != replayed.protocol) return "protocol";
-  if (recorded.trials != replayed.trials) return "trials";
-  if (recorded.seed != replayed.seed) return "seed";
-  // Doubles compare by round-trip spelling: both sides were printed by
-  // json_number, so equality of spelling is equality of bits.
-  if (json_number(recorded.clock_rate) != json_number(replayed.clock_rate)) {
-    return "clock_rate";
+  const auto a = runner_column_spellings(recorded.runner);
+  const auto b = runner_column_spellings(replayed.runner);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].second != b[i].second) return std::string(a[i].first);
   }
-  if (json_number(recorded.time_limit) != json_number(replayed.time_limit)) {
-    return "time_limit";
-  }
-  if (recorded.round_limit != replayed.round_limit) return "round_limit";
-  if (recorded.track_bounds != replayed.track_bounds) return "track_bounds";
-  if (json_number(recorded.bound_c) != json_number(replayed.bound_c)) return "bound_c";
-  if (recorded.bound_continuation_cap != replayed.bound_continuation_cap) {
-    return "bound_continuation_cap";
-  }
-  if (json_number(recorded.transmission_failure_prob) !=
-      json_number(replayed.transmission_failure_prob)) {
-    return "transmission_failure_prob";
-  }
-  if (recorded.source != replayed.source) return "source";
-  if (recorded.threads != replayed.threads) return "threads";
-  if (recorded.chunk_trials != replayed.chunk_trials) return "chunk_trials";
   return "";
 }
 

@@ -1,14 +1,15 @@
 // Manifest resolver: maps a parsed ReproManifest back through the live
-// scenario registry onto the exact ExperimentConfig that produced it.
+// scenario registry onto the exact ExperimentConfig that produced it, and
+// compares two manifests for the replay fixed-point check.
 //
-// Resolution is the trust boundary of the replay harness: every manifest
-// field is re-validated against today's schema (unknown scenario, unknown
-// engine/protocol, out-of-range or non-round-tripping params all throw
-// std::invalid_argument naming the offending field), so a corrupted or
-// drifted recording fails with an actionable message before a single trial
-// runs. A manifest that resolves is guaranteed to re-run the recorded
-// experiment bit-for-bit — that is the determinism contract the harness
-// exists to enforce.
+// Resolution is the trust boundary of the replay harness. The runner columns
+// were already typed and range-checked by parse_manifest (or set by a
+// front-end), so what is left to validate is the scenario and its params:
+// an unknown scenario, an unknown or out-of-range param, or a param list
+// that does not round-trip through today's schema throws
+// std::invalid_argument naming the offender, before a single trial runs. A
+// manifest that resolves re-runs the recorded experiment bit-for-bit — the
+// determinism contract the harness exists to enforce.
 #pragma once
 
 #include <string>
@@ -18,15 +19,16 @@
 
 namespace rumor {
 
-// Reconstructs the ExperimentConfig (scenario, param overrides, full
-// RunnerOptions including the recorded execution topology). The caller owns
+// Reconstructs the ExperimentConfig: the scenario, its param overrides and
+// the manifest's RunnerOptions, execution topology included. The caller owns
 // any topology overrides.
 ExperimentConfig resolve_manifest(const ReproManifest& manifest);
 
-// Field-by-field comparison for the manifest fixed-point check: returns ""
-// when the two manifests describe the same experiment and topology, else the
-// name of the first differing field. Provenance (build) is excluded — it
-// legitimately differs between the recording and the replaying binary.
+// Returns "" when the two manifests describe the same experiment and
+// topology, else the name of the first differing field: scenario, params,
+// then the runner columns in list order, each compared by its written
+// spelling. Provenance (build) is excluded — it legitimately differs between
+// the recording and the replaying binary.
 std::string manifest_divergence(const ReproManifest& recorded,
                                 const ReproManifest& replayed);
 

@@ -1,6 +1,8 @@
 #include "scenarios/experiment.h"
 
 #include <ostream>
+#include <stdexcept>
+#include <type_traits>
 
 #include "support/contracts.h"
 #include "support/json.h"
@@ -89,31 +91,50 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const TrialSink&
   return result;
 }
 
+std::int64_t RunnerColumn::checked(std::int64_t value) const {
+  if (value >= min && value <= max) return value;
+  throw std::invalid_argument(std::string("field '") + name + "' is out of range [" +
+                              std::to_string(min) + ", " + std::to_string(max) +
+                              "]: " + std::to_string(value));
+}
+
+void write_runner_columns(JsonWriter& json, const RunnerOptions& opt, bool identity_only) {
+  for_each_runner_column(opt, [&](const RunnerColumn& column, const auto& value) {
+    if (identity_only && !column.identity) return;
+    if constexpr (std::is_enum_v<std::decay_t<decltype(value)>>) {
+      json.field(column.name, to_string(value));
+    } else {
+      json.field(column.name, value);
+    }
+  });
+}
+
+std::vector<std::pair<std::string_view, std::string>> runner_column_spellings(
+    const RunnerOptions& opt) {
+  std::vector<std::pair<std::string_view, std::string>> out;
+  for_each_runner_column(opt, [&out](const RunnerColumn& column, const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_enum_v<T>) {
+      out.emplace_back(column.name, to_string(value));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      out.emplace_back(column.name, value ? "true" : "false");
+    } else if constexpr (std::is_floating_point_v<T>) {
+      out.emplace_back(column.name, json_number(value));
+    } else {
+      out.emplace_back(column.name, std::to_string(value));
+    }
+  });
+  return out;
+}
+
 void write_manifest(JsonWriter& json, const ExperimentResult& result,
                     const std::string& build_info) {
-  const RunnerOptions& opt = result.runner;
   json.begin_object();
   json.field("scenario", result.spec->name);
   json.key("params").begin_object();
   for (const auto& [name, value] : result.params) json.field(name, value);
   json.end_object();
-  json.field("engine", to_string(opt.engine));
-  json.field("protocol", to_string(opt.protocol));
-  json.field("trials", opt.trials);
-  json.field("seed", opt.seed);
-  // The execution topology, in full. Per-trial records are invariant to
-  // every one of these (the determinism contract); they are recorded so a
-  // run's placement is reproducible too, not because the records need it.
-  json.field("threads", opt.threads);
-  json.field("chunk_trials", opt.chunk_trials);
-  json.field("clock_rate", opt.clock_rate);
-  json.field("time_limit", opt.time_limit);
-  json.field("round_limit", opt.round_limit);
-  json.field("track_bounds", opt.track_bounds);
-  json.field("bound_c", opt.bound_c);
-  json.field("bound_continuation_cap", opt.bound_continuation_cap);
-  json.field("transmission_failure_prob", opt.transmission_failure_prob);
-  json.field("source", static_cast<std::int64_t>(opt.source));
+  write_runner_columns(json, result.runner, /*identity_only=*/false);
   json.field("build", build_info);
   json.field("peak_rss_mb", static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
   json.end_object();

@@ -1,42 +1,29 @@
 #include "serve/cache.h"
 
+#include <string_view>
 #include <utility>
 
-#include "support/json.h"
+#include "scenarios/experiment.h"
 #include "support/sha256.h"
 
 namespace rumor {
 
 std::string cache_key(const ReproManifest& m) {
-  // One "name=value\n" line per participating field, in a fixed order, so the
-  // serialization is injective (names disambiguate, '\n' terminates values
-  // that themselves never contain newlines). Doubles are spelled by
-  // json_number — the round-trip form manifest_divergence itself compares.
+  // One "name=value\n" line per compared field, in manifest_divergence's
+  // order, so the serialization is injective (names disambiguate, '\n'
+  // terminates values that themselves never contain newlines). The runner
+  // columns hash their written spellings, exactly what manifest_divergence
+  // compares; m.build, which it excludes, is absent.
   Sha256 hasher;
-  const auto field = [&hasher](const std::string& name, const std::string& value) {
-    hasher.update(name);
+  const auto field = [&hasher](std::string_view name, const std::string& value) {
+    hasher.update(name.data(), name.size());
     hasher.update("=", 1);
     hasher.update(value);
     hasher.update("\n", 1);
   };
   field("scenario", m.scenario);
   for (const auto& [name, value] : m.params) field("param:" + name, value);
-  field("engine", m.engine);
-  field("protocol", m.protocol);
-  field("trials", std::to_string(m.trials));
-  field("seed", std::to_string(m.seed));
-  field("clock_rate", json_number(m.clock_rate));
-  field("time_limit", json_number(m.time_limit));
-  field("round_limit", std::to_string(m.round_limit));
-  field("track_bounds", m.track_bounds ? "true" : "false");
-  field("bound_c", json_number(m.bound_c));
-  field("bound_continuation_cap", std::to_string(m.bound_continuation_cap));
-  field("transmission_failure_prob", json_number(m.transmission_failure_prob));
-  field("source", std::to_string(m.source));
-  field("threads", std::to_string(m.threads));
-  field("chunk_trials", std::to_string(m.chunk_trials));
-  // Deliberately absent: m.build — the provenance field manifest_divergence
-  // excludes.
+  for (const auto& [name, spelling] : runner_column_spellings(m.runner)) field(name, spelling);
   return hasher.hex_digest();
 }
 

@@ -5,14 +5,15 @@
 // the stored bytes for a repeated manifest is indistinguishable from
 // re-simulating. cache_key() hashes exactly the fields
 // repro/resolver.h's manifest_divergence compares — scenario, resolved
-// params, engine, protocol, trials, seed, every record-determining runner
-// option, and the execution topology — and excludes exactly the field it
-// excludes: `build`, the provenance column that legitimately differs between
-// the recording and the serving binary. Two manifests with an empty
-// divergence always share a key; any divergence manifest_divergence would
-// name yields distinct keys (tests/test_serve.cpp pins both directions). The server additionally normalizes the execution
-// topology before keying (serve/protocol.h), so client-side topology noise
-// cannot fragment the cache.
+// params, and every runner column of scenarios/experiment.h's list by its
+// written spelling (the record-determining options and the execution
+// topology) — and excludes exactly the field it excludes: `build`, the
+// provenance column that legitimately differs between the recording and the
+// serving binary. Two manifests with an empty divergence always share a key;
+// any divergence manifest_divergence would name yields distinct keys
+// (tests/test_serve.cpp pins both directions). The server additionally
+// normalizes the execution topology before keying (serve/protocol.h), so
+// client-side topology noise cannot fragment the cache.
 //
 // A cached cell is the complete recorded response body: the trial record
 // lines byte-for-byte, the closing summary line, and the SHA-256 cell

@@ -151,6 +151,25 @@ std::vector<ResolvedCell> resolve_request_cells(const ServeRequest& request,
     if (reserved_fields().count(name) == 0) overrides[name] = value;
   }
 
+  // The runner columns every cell shares: RunnerOptions' defaults unless the
+  // request sets a column, and the execution topology normalized to the
+  // server's own policy.
+  RunnerOptions runner;
+  runner.trials = static_cast<int>(trials);
+  runner.seed = option_or(request, "seed", runner.seed);
+  runner.clock_rate = option_or(request, "clock_rate", runner.clock_rate);
+  runner.time_limit = option_or(request, "time_limit", runner.time_limit);
+  runner.round_limit = option_or(request, "round_limit", runner.round_limit);
+  runner.track_bounds = request.cmd == "bounds" || option_or(request, "track_bounds", false);
+  runner.bound_c = option_or(request, "bound_c", runner.bound_c);
+  runner.bound_continuation_cap =
+      option_or(request, "bound_cap", runner.bound_continuation_cap);
+  runner.transmission_failure_prob =
+      option_or(request, "failure", runner.transmission_failure_prob);
+  runner.source =
+      static_cast<NodeId>(kSourceColumn.checked(option_or<std::int64_t>(request, "source", -1)));
+  runner.threads = limits.job_threads;
+
   std::vector<ResolvedCell> resolved;
   resolved.reserve(cells);
   for (const std::string& scenario : scenarios) {
@@ -161,41 +180,19 @@ std::vector<ResolvedCell> resolve_request_cells(const ServeRequest& request,
       const ScenarioParams params = ScenarioParams::resolve(spec, cell_overrides);
       for (const std::string& engine : engines) {
         for (const std::string& protocol : protocols) {
-          // The canonical manifest: registry-resolved params in schema order,
-          // engine/protocol in their to_string spellings (so request aliases
-          // like "async-jump" key identically), and the topology normalized
-          // to the server's own policy. Defaults come from ReproManifest,
-          // which mirrors RunnerOptions' defaults field for field.
-          ReproManifest manifest;
-          manifest.scenario = spec.name;
-          manifest.params = params.items();
-          manifest.engine = to_string(parse_engine(engine));
-          manifest.protocol = to_string(parse_protocol(protocol));
-          manifest.trials = static_cast<int>(trials);
-          manifest.seed = option_or<std::uint64_t>(request, "seed", 1);
-          manifest.clock_rate = option_or(request, "clock_rate", manifest.clock_rate);
-          manifest.time_limit = option_or(request, "time_limit", manifest.time_limit);
-          manifest.round_limit = option_or(request, "round_limit", manifest.round_limit);
-          manifest.track_bounds =
-              request.cmd == "bounds" || option_or(request, "track_bounds", false);
-          manifest.bound_c = option_or(request, "bound_c", manifest.bound_c);
-          manifest.bound_continuation_cap =
-              option_or(request, "bound_cap", manifest.bound_continuation_cap);
-          manifest.transmission_failure_prob = option_or(request, "failure", 0.0);
-          manifest.source = option_or<std::int64_t>(request, "source", -1);
-          manifest.threads = limits.job_threads;
-          manifest.chunk_trials = 0;
-
-          ResolvedCell cell;
-          // The replay trust boundary: re-validates every field and proves
-          // the params round-trip through today's schema.
-          cell.config = resolve_manifest(manifest);
-          cell.manifest = std::move(manifest);
-          cell.key = cache_key(cell.manifest);
-          cell.label = spec.name + " " + cell.manifest.engine + " " +
-                       cell.manifest.protocol;
-          if (!sweep_name.empty()) cell.label += " " + sweep_name + "=" + value;
-          resolved.push_back(std::move(cell));
+          // The canonical manifest: registry-resolved params in schema order
+          // and engine/protocol parsed, so request aliases like "async-jump"
+          // key identically.
+          ReproManifest manifest{spec.name, params.items(), runner, ""};
+          manifest.runner.engine = parse_engine(engine);
+          manifest.runner.protocol = parse_protocol(protocol);
+          std::string label = spec.name + " " + to_string(manifest.runner.engine) + " " +
+                              to_string(manifest.runner.protocol);
+          if (!sweep_name.empty()) label += " " + sweep_name + "=" + value;
+          // resolve_manifest is the replay trust boundary: it proves the
+          // params round-trip through today's schema.
+          resolved.push_back(
+              {resolve_manifest(manifest), manifest, cache_key(manifest), std::move(label)});
         }
       }
     }

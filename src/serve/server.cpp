@@ -83,16 +83,8 @@ std::string shutdown_record(const std::string& id) {
 
 std::string fingerprint_record(const ReproManifest& manifest,
                                const std::string& sha256) {
-  CellFingerprint fp;
-  fp.scenario = manifest.scenario;
-  fp.params = manifest.params;
-  fp.engine = manifest.engine;
-  fp.protocol = manifest.protocol;
-  fp.trials = manifest.trials;
-  fp.seed = manifest.seed;
-  fp.sha256 = sha256;
   std::ostringstream os;
-  emit_fingerprint_json(os, fp);
+  emit_fingerprint_json(os, manifest, sha256);
   std::string line = os.str();
   line.pop_back();  // emit_* terminate the line; the sink frames it
   return line;

@@ -329,8 +329,8 @@ TEST(JsonlRegression, NumberWithTrailingBytesIsNamed) {
 TEST(JsonlRegression, ParamsMayShareNamesWithManifestFields) {
   const ReproManifest m =
       parse_manifest(summary_with(R"({"n":"128","seed":"5"})", R"("trials":2,"seed":7)"));
-  EXPECT_EQ(m.seed, 7u);
-  EXPECT_EQ(m.trials, 2);
+  EXPECT_EQ(m.runner.seed, 7u);
+  EXPECT_EQ(m.runner.trials, 2);
   const std::vector<std::pair<std::string, std::string>> params = {{"n", "128"}, {"seed", "5"}};
   EXPECT_EQ(m.params, params);
 }

@@ -101,11 +101,11 @@ TEST(Manifest, ParsesRecordedCell) {
   EXPECT_EQ(m.scenario, "dynamic_star");
   ASSERT_EQ(m.params.size(), 1u);
   EXPECT_EQ(m.params[0], (std::pair<std::string, std::string>{"n", "32"}));
-  EXPECT_EQ(m.engine, "async-jump");
-  EXPECT_EQ(m.protocol, "push-pull");
-  EXPECT_EQ(m.trials, 3);
-  EXPECT_EQ(m.seed, 11u);
-  EXPECT_EQ(m.threads, 1);
+  EXPECT_EQ(m.runner.engine, EngineKind::async_jump);
+  EXPECT_EQ(m.runner.protocol, Protocol::push_pull);
+  EXPECT_EQ(m.runner.trials, 3);
+  EXPECT_EQ(m.runner.seed, 11u);
+  EXPECT_EQ(m.runner.threads, 1);
   EXPECT_EQ(m.build, "test-build");
   EXPECT_EQ(cells[0].trial_lines.size(), 3u);
 }
@@ -146,6 +146,43 @@ TEST(Manifest, LegacyPlacementColumnsKeepTheirNamedErrors) {
                      {"'backend'", "bogus", "in-process, sharded"});
 }
 
+// Only the identity runner columns are required; a recording made before any
+// other column existed parses with that column's RunnerOptions default.
+TEST(Manifest, IdentityColumnsAreRequiredAndTheRestDefault) {
+  const std::string recording = record_cell("dynamic_star", {{"n", "16"}},
+                                            EngineKind::async_jump, 2, 5);
+  const std::string summary = recording.substr(recording.find("{\"record\":\"summary\""));
+  const auto without = [&](const std::string& field) {
+    std::string out = summary;
+    const std::size_t at = out.find(field);
+    EXPECT_NE(at, std::string::npos) << field;
+    return out.erase(at, field.size());
+  };
+  expect_named_error([&] { parse_manifest(without("\"engine\":\"async-jump\",")); },
+                     {"missing required field 'engine'"});
+  expect_named_error([&] { parse_manifest(without("\"seed\":5,")); },
+                     {"missing required field 'seed'"});
+  const ReproManifest m =
+      parse_manifest(without("\"clock_rate\":1,\"time_limit\":1e+09,"));
+  EXPECT_EQ(m.runner.clock_rate, RunnerOptions{}.clock_rate);
+  EXPECT_EQ(m.runner.time_limit, RunnerOptions{}.time_limit);
+  EXPECT_EQ(m.runner.seed, 5u);
+}
+
+// A recorded source outside NodeId's range is a named parse error, never
+// narrowed to another node (2^32 once replayed as source 0).
+TEST(Manifest, OutOfRangeSourceIsNamed) {
+  const std::string recording = record_cell("dynamic_star", {{"n", "16"}},
+                                            EngineKind::async_jump, 2, 5);
+  const std::string anchor = "\"source\":-1,";
+  ASSERT_NE(recording.find(anchor), std::string::npos);
+  for (const std::string source : {"4294967296", "2147483648", "-2"}) {
+    std::string edited = recording;
+    edited.replace(edited.find(anchor), anchor.size(), "\"source\":" + source + ",");
+    expect_named_error([&] { load(edited); }, {"'source'", "out of range", source});
+  }
+}
+
 TEST(Manifest, TruncatedTrialRecordsAreDetected) {
   std::string recording = record_cell("clique_bridge", {{"n", "16"}},
                                       EngineKind::async_jump, 3, 5);
@@ -183,9 +220,7 @@ TEST(Resolver, RoundTripsThroughTheRegistry) {
 TEST(Resolver, UnknownScenarioAndBadParamsAreNamed) {
   ReproManifest m;
   m.scenario = "no_such_scenario";
-  m.engine = "async-jump";
-  m.protocol = "push-pull";
-  m.trials = 1;
+  m.runner.trials = 1;
   expect_named_error([&] { resolve_manifest(m); }, {"no_such_scenario"});
 
   m.scenario = "dynamic_star";
@@ -204,7 +239,7 @@ TEST(Resolver, ManifestDivergenceNamesFirstField) {
   EXPECT_EQ(manifest_divergence(a, b), "");
   b.build = "some-other-build";  // provenance: excluded from the comparison
   EXPECT_EQ(manifest_divergence(a, b), "");
-  b.seed = 6;
+  b.runner.seed = 6;
   EXPECT_EQ(manifest_divergence(a, b), "seed");
   b = a;
   b.params[0].second = "17";
@@ -258,16 +293,15 @@ TEST(Fingerprint, HasherMatchesOneShotAndEmitsRecordLine) {
   EXPECT_EQ(digest, sha256_hex("alpha\nbeta\n"));
   EXPECT_EQ(hasher.records(), 0);  // finish resets
 
-  CellFingerprint fp;
-  fp.scenario = "dynamic_star";
-  fp.params = {{"n", "16"}};
-  fp.engine = "async-jump";
-  fp.protocol = "push-pull";
-  fp.trials = 2;
-  fp.seed = 5;
-  fp.sha256 = digest;
+  ReproManifest m;
+  m.scenario = "dynamic_star";
+  m.params = {{"n", "16"}};
+  m.runner.trials = 2;
+  m.runner.seed = 5;
+  m.runner.threads = 4;  // the execution topology never reaches the record
+  m.build = "test-build";
   std::ostringstream os;
-  emit_fingerprint_json(os, fp);
+  emit_fingerprint_json(os, m, digest);
   EXPECT_EQ(os.str(), "{\"record\":\"fingerprint\",\"scenario\":\"dynamic_star\","
                       "\"params\":{\"n\":\"16\"},\"engine\":\"async-jump\","
                       "\"protocol\":\"push-pull\",\"trials\":2,\"seed\":5,"

@@ -70,61 +70,42 @@ TEST(CacheKey, IgnoredProvenanceFieldsShareAKey) {
 TEST(CacheKey, EveryComparedFieldSplitsTheKey) {
   const ReproManifest a = base_manifest();
   const std::string base = cache_key(a);
-  const auto expect_split = [&](ReproManifest m, const std::string& field) {
+  std::vector<std::string> perturbed;
+  const auto expect_split = [&](const std::string& field, auto perturb) {
+    ReproManifest m = a;
+    perturb(m);
     EXPECT_EQ(manifest_divergence(a, m), field);
     EXPECT_NE(cache_key(m), base) << "field " << field << " did not split the key";
+    perturbed.push_back(field);
   };
-  {
-    ReproManifest m = a;
-    m.scenario = "static_clique";
-    expect_split(m, "scenario");
+  expect_split("scenario", [](ReproManifest& m) { m.scenario = "static_clique"; });
+  ASSERT_FALSE(a.params.empty());
+  expect_split("params", [](ReproManifest& m) { m.params[0].second = "33"; });
+  expect_split("engine", [](ReproManifest& m) { m.runner.engine = EngineKind::sync_rounds; });
+  expect_split("protocol", [](ReproManifest& m) { m.runner.protocol = Protocol::push; });
+  expect_split("trials", [](ReproManifest& m) { m.runner.trials = 4; });
+  expect_split("seed", [](ReproManifest& m) { m.runner.seed = 2; });
+  expect_split("threads", [](ReproManifest& m) { m.runner.threads = 8; });
+  expect_split("chunk_trials", [](ReproManifest& m) { m.runner.chunk_trials = 16; });
+  expect_split("clock_rate", [](ReproManifest& m) { m.runner.clock_rate = 2.5; });
+  expect_split("time_limit", [](ReproManifest& m) { m.runner.time_limit = 1e6; });
+  expect_split("round_limit", [](ReproManifest& m) { m.runner.round_limit = 5000; });
+  expect_split("track_bounds", [](ReproManifest& m) { m.runner.track_bounds = true; });
+  expect_split("bound_c", [](ReproManifest& m) { m.runner.bound_c = 2.0; });
+  expect_split("bound_continuation_cap",
+               [](ReproManifest& m) { m.runner.bound_continuation_cap = 1000; });
+  expect_split("transmission_failure_prob",
+               [](ReproManifest& m) { m.runner.transmission_failure_prob = 0.25; });
+  expect_split("source", [](ReproManifest& m) { m.runner.source = 0; });
+
+  // The runner column list names exactly the runner fields perturbed above,
+  // so a column added to or dropped from it without a key and compare
+  // decision fails here.
+  std::vector<std::string> columns = {"scenario", "params"};
+  for (const auto& [name, spelling] : runner_column_spellings(a.runner)) {
+    columns.emplace_back(name);
   }
-  {
-    ReproManifest m = a;
-    ASSERT_FALSE(m.params.empty());
-    m.params[0].second = "33";
-    expect_split(m, "params");
-  }
-  {
-    ReproManifest m = a;
-    m.engine = "sync";
-    expect_split(m, "engine");
-  }
-  {
-    ReproManifest m = a;
-    m.protocol = "push";
-    expect_split(m, "protocol");
-  }
-  {
-    ReproManifest m = a;
-    m.trials = 4;
-    expect_split(m, "trials");
-  }
-  {
-    ReproManifest m = a;
-    m.seed = 2;
-    expect_split(m, "seed");
-  }
-  {
-    ReproManifest m = a;
-    m.track_bounds = true;
-    expect_split(m, "track_bounds");
-  }
-  {
-    ReproManifest m = a;
-    m.transmission_failure_prob = 0.25;
-    expect_split(m, "transmission_failure_prob");
-  }
-  {
-    ReproManifest m = a;
-    m.source = 0;
-    expect_split(m, "source");
-  }
-  {
-    ReproManifest m = a;
-    m.threads = 8;
-    expect_split(m, "threads");
-  }
+  EXPECT_EQ(columns, perturbed);
 }
 
 // --- ResultCache: LRU within a byte budget ---------------------------------
@@ -228,6 +209,20 @@ TEST(ServeProtocol, ResolveNamesTheBadFieldOrCell) {
   expect_bad_request(
       [&] { resolve(R"({"cmd":"run","scenario":"dynamic_star","bogus_param":1})"); },
       {"bogus_param"});
+  // A source outside NodeId's range is rejected, never narrowed: 2^32 once
+  // served as source 0, and anything below -1 as "suggested source".
+  for (const char* source : {"4294967296", "2147483648", "-2"}) {
+    expect_bad_request(
+        [&] {
+          resolve(std::string(R"({"cmd":"run","scenario":"static_clique","n":"64",)") +
+                  R"("trials":2,"source":)" + source + "}");
+        },
+        {"'source'", "out of range", source});
+  }
+  EXPECT_EQ(
+      resolve(R"({"cmd":"run","scenario":"static_clique","n":"64","source":2147483647})")[0]
+          .manifest.runner.source,
+      2147483647);
   // run/bounds are single-cell verbs: grid axes are sweep vocabulary.
   expect_bad_request(
       [&] { resolve(R"({"cmd":"run","scenarios":"dynamic_star,static_clique"})"); },
@@ -257,8 +252,8 @@ TEST(ServeProtocol, GridExpansionAndNormalization) {
   for (const ResolvedCell& cell : cells) {
     keys.push_back(cell.key);
     // The server's topology policy, never the client's.
-    EXPECT_EQ(cell.manifest.threads, 3);
-    EXPECT_EQ(cell.manifest.trials, 2);
+    EXPECT_EQ(cell.manifest.runner.threads, 3);
+    EXPECT_EQ(cell.manifest.runner.trials, 2);
   }
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(std::unique(keys.begin(), keys.end()), keys.end())
@@ -281,7 +276,7 @@ TEST(ServeProtocol, BoundsVerbForcesBoundTracking) {
   const std::vector<ResolvedCell> cells =
       resolve_request_cells(request, ServeLimits{});
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_TRUE(cells[0].manifest.track_bounds);
+  EXPECT_TRUE(cells[0].manifest.runner.track_bounds);
   EXPECT_TRUE(cells[0].config.runner.track_bounds);
   // ...and therefore keys apart from the plain run of the same cell.
   const ServeRequest plain =

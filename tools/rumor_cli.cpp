@@ -98,7 +98,7 @@ RunnerOptions runner_options(const Cli& cli) {
   opt.clock_rate = cli.get_double("clock-rate", 1.0);
   opt.time_limit = cli.get_double("time-limit", opt.time_limit);
   opt.round_limit = cli.get_int("round-limit", opt.round_limit);
-  opt.source = static_cast<NodeId>(cli.get_int("source", -1));
+  opt.source = static_cast<NodeId>(kSourceColumn.checked(cli.get_int("source", -1)));
   opt.transmission_failure_prob = cli.get_double("failure", 0.0);
   if (cli.has("bounds")) {
     opt.track_bounds = true;
@@ -288,60 +288,64 @@ std::optional<SweepGrid> parse_grid(const Cli& cli, const char* subcommand) {
   return grid;
 }
 
-int cmd_sweep(const Cli& cli) {
-  const std::optional<SweepGrid> parsed = parse_grid(cli, "sweep");
-  if (!parsed) return 2;
-  const std::vector<std::string>& scenarios = parsed->scenarios;
-  const std::vector<std::string>& engines = parsed->engines;
-  const std::vector<std::string>& protocols = parsed->protocols;
-  const std::string& sweep_name = parsed->sweep_name;
-  const std::vector<std::string>& sweep_values = parsed->sweep_values;
-
-  const bool json = cli.get_bool("json", false);
-  const bool csv = cli.get_bool("csv", false);
-  if (csv) emit_csv_header(std::cout);
-  Table table({"scenario", sweep_name.empty() ? "-" : sweep_name, "engine", "protocol",
-               "completed", "mean", "median", "max", "seconds"});
-
-  const std::size_t cells =
-      scenarios.size() * sweep_values.size() * engines.size() * protocols.size();
+// Walks the grid once, in scenario x swept value x engine x protocol order,
+// calling fn(config, value) for each cell: `config` is the shared run options
+// with the cell's axes filled in and a progress label naming the cell, and
+// `value` is the cell's swept value ("" when nothing is swept).
+template <typename Fn>
+void for_each_cell(const Cli& cli, const SweepGrid& grid, Fn&& fn) {
+  const std::map<std::string, std::string> overrides = scenario_overrides(cli);
+  const RunnerOptions runner = runner_options(cli);
+  const std::size_t cells = grid.scenarios.size() * grid.sweep_values.size() *
+                            grid.engines.size() * grid.protocols.size();
   std::size_t cell = 0;
-  for (const std::string& scenario : scenarios) {
-    for (const std::string& value : sweep_values) {
-      for (const std::string& engine : engines) {
-        for (const std::string& protocol : protocols) {
+  for (const std::string& scenario : grid.scenarios) {
+    for (const std::string& value : grid.sweep_values) {
+      for (const std::string& engine : grid.engines) {
+        for (const std::string& protocol : grid.protocols) {
           ++cell;
-          ExperimentConfig config;
-          config.scenario = scenario;
-          config.param_overrides = scenario_overrides(cli);
-          if (!sweep_name.empty()) config.param_overrides[sweep_name] = value;
-          config.runner = runner_options(cli);
+          ExperimentConfig config{scenario, overrides, runner};
+          if (!grid.sweep_name.empty()) config.param_overrides[grid.sweep_name] = value;
           config.runner.engine = parse_engine(engine);
           config.runner.protocol = parse_protocol(protocol);
           std::string label = scenario;
-          if (!sweep_name.empty()) label += " " + sweep_name + "=" + value;
+          if (!grid.sweep_name.empty()) label += " " + grid.sweep_name + "=" + value;
           label += " " + engine + " cell " + std::to_string(cell) + "/" +
                    std::to_string(cells);
           config.runner.progress = make_progress(cli, label);
-
-          const ExperimentResult result = run_experiment(config, make_sink(json, csv));
-          if (json) {
-            emit_summary_json(std::cout, result, RUMOR_BUILD_INFO);
-          } else if (!csv) {
-            const SampleSet& st = result.report.spread_time;
-            table.add_row({scenario, value.empty() ? "-" : value,
-                           to_string(config.runner.engine), to_string(config.runner.protocol),
-                           std::to_string(result.report.completed) + "/" +
-                               std::to_string(result.report.trials),
-                           st.empty() ? "-" : Table::cell(st.mean()),
-                           st.empty() ? "-" : Table::cell(st.median()),
-                           st.empty() ? "-" : Table::cell(st.max()),
-                           Table::cell(result.elapsed_seconds)});
-          }
+          fn(config, value);
         }
       }
     }
   }
+}
+
+int cmd_sweep(const Cli& cli) {
+  const std::optional<SweepGrid> grid = parse_grid(cli, "sweep");
+  if (!grid) return 2;
+
+  const bool json = cli.get_bool("json", false);
+  const bool csv = cli.get_bool("csv", false);
+  if (csv) emit_csv_header(std::cout);
+  Table table({"scenario", grid->sweep_name.empty() ? "-" : grid->sweep_name, "engine",
+               "protocol", "completed", "mean", "median", "max", "seconds"});
+
+  for_each_cell(cli, *grid, [&](const ExperimentConfig& config, const std::string& value) {
+    const ExperimentResult result = run_experiment(config, make_sink(json, csv));
+    if (json) {
+      emit_summary_json(std::cout, result, RUMOR_BUILD_INFO);
+    } else if (!csv) {
+      const SampleSet& st = result.report.spread_time;
+      table.add_row({config.scenario, value.empty() ? "-" : value,
+                     to_string(config.runner.engine), to_string(config.runner.protocol),
+                     std::to_string(result.report.completed) + "/" +
+                         std::to_string(result.report.trials),
+                     st.empty() ? "-" : Table::cell(st.mean()),
+                     st.empty() ? "-" : Table::cell(st.median()),
+                     st.empty() ? "-" : Table::cell(st.max()),
+                     Table::cell(result.elapsed_seconds)});
+    }
+  });
   if (!json && !csv) table.print(std::cout);
   return 0;
 }
@@ -412,15 +416,7 @@ int cmd_fingerprint(const Cli& cli) {
         return 2;
       }
       for (const RecordedCell& cell : load_recording(in)) {
-        CellFingerprint fp;
-        fp.scenario = cell.manifest.scenario;
-        fp.params = cell.manifest.params;
-        fp.engine = cell.manifest.engine;
-        fp.protocol = cell.manifest.protocol;
-        fp.trials = cell.manifest.trials;
-        fp.seed = cell.manifest.seed;
-        fp.sha256 = fingerprint_records(cell.trial_lines);
-        emit_fingerprint_json(std::cout, fp);
+        emit_fingerprint_json(std::cout, cell.manifest, fingerprint_records(cell.trial_lines));
       }
     }
     return 0;
@@ -428,45 +424,22 @@ int cmd_fingerprint(const Cli& cli) {
 
   const std::optional<SweepGrid> grid = parse_grid(cli, "fingerprint");
   if (!grid) return 2;
-  for (const std::string& scenario : grid->scenarios) {
-    for (const std::string& value : grid->sweep_values) {
-      for (const std::string& engine : grid->engines) {
-        for (const std::string& protocol : grid->protocols) {
-          ExperimentConfig config;
-          config.scenario = scenario;
-          config.param_overrides = scenario_overrides(cli);
-          if (!grid->sweep_name.empty()) config.param_overrides[grid->sweep_name] = value;
-          config.runner = runner_options(cli);
-          config.runner.engine = parse_engine(engine);
-          config.runner.protocol = parse_protocol(protocol);
-          config.runner.progress = make_progress(cli, scenario + " fingerprint");
-
-          // Records hash as they stream — nothing is buffered, so the
-          // fingerprint of a million-node cell costs O(1) memory.
-          RecordHasher hasher;
-          const TrialSink sink = [&hasher](const ExperimentResult& r, int trial,
-                                           const SpreadResult& t) {
-            std::ostringstream record;
-            emit_trial_json(record, r, trial, t);
-            std::string line = record.str();
-            line.pop_back();  // the hasher supplies the newline
-            hasher.add(line);
-          };
-          const ExperimentResult result = run_experiment(config, sink);
-
-          CellFingerprint fp;
-          fp.scenario = scenario;
-          fp.params = result.params;
-          fp.engine = to_string(result.runner.engine);
-          fp.protocol = to_string(result.runner.protocol);
-          fp.trials = result.runner.trials;
-          fp.seed = result.runner.seed;
-          fp.sha256 = hasher.finish();
-          emit_fingerprint_json(std::cout, fp);
-        }
-      }
-    }
-  }
+  for_each_cell(cli, *grid, [](const ExperimentConfig& config, const std::string&) {
+    // Records hash as they stream — nothing is buffered, so the fingerprint
+    // of a million-node cell costs O(1) memory.
+    RecordHasher hasher;
+    const TrialSink sink = [&hasher](const ExperimentResult& r, int trial,
+                                     const SpreadResult& t) {
+      std::ostringstream record;
+      emit_trial_json(record, r, trial, t);
+      std::string line = record.str();
+      line.pop_back();  // the hasher supplies the newline
+      hasher.add(line);
+    };
+    const ExperimentResult result = run_experiment(config, sink);
+    const ReproManifest manifest{config.scenario, result.params, result.runner, ""};
+    emit_fingerprint_json(std::cout, manifest, hasher.finish());
+  });
   return 0;
 }
 
