@@ -1,7 +1,6 @@
 #include "dynamic/edge_markovian.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "support/contracts.h"
@@ -30,11 +29,6 @@ Edge nth_pair(NodeId n, std::int64_t idx) {
   while (u + 1 <= n - 2 && row_start(n, u + 1) <= idx) ++u;
   const std::int64_t v = u + 1 + (idx - row_start(n, u));
   return {static_cast<NodeId>(u), static_cast<NodeId>(v)};
-}
-
-// Inverse of nth_pair: the linear index of normalized edge (u < v).
-std::int64_t pair_index(NodeId n, const Edge& e) {
-  return row_start(n, e.u) + (e.v - e.u - 1);
 }
 
 bool lex_less(const Edge& a, const Edge& b) {
@@ -156,20 +150,27 @@ void EdgeMarkovianNetwork::evolve() {
   tile_removed_.resize(static_cast<std::size_t>(tiles));
   tile_added_.resize(static_cast<std::size_t>(tiles));
 
-  // One sequential counting sweep replaces two binary searches per tile: the
-  // edge list ascends in pair index, so bucketing each edge by index >> tile
-  // width yields every tile's [begin, end) range in a single streaming pass
-  // over the snapshot instead of ~tiles·log m cache-missing probes into it.
-  static_assert((kPairsPerTile & (kPairsPerTile - 1)) == 0, "tile width must be a power of two");
-  const int tile_shift = std::countr_zero(static_cast<std::uint64_t>(kPairsPerTile));
-  tile_edge_start_.assign(static_cast<std::size_t>(tiles) + 1, 0);
-  for (const Edge& e : current) {
-    ++tile_edge_start_[static_cast<std::size_t>(pair_index(n_, e) >> tile_shift) + 1];
+  // Tile t's edges start at the first edge not below its boundary pair
+  // nth_pair(t·W): pair-index order is (u, v)-lexicographic order, so that is
+  // a lower bound in the sorted edge list. Boundaries ascend, so each search
+  // gallops forward from the previous one — O(tiles·log(m/tiles)) probes, and
+  // no pass over the snapshot.
+  tile_edge_start_.resize(static_cast<std::size_t>(tiles) + 1);
+  tile_edge_start_[0] = 0;
+  auto found = current.begin();
+  for (std::int64_t t = 1; t < tiles; ++t) {
+    const Edge boundary = nth_pair(n_, t * kPairsPerTile);
+    std::ptrdiff_t stride = 1;
+    auto hi = found;
+    while (current.end() - hi > stride && lex_less(hi[stride], boundary)) {
+      hi += stride;
+      stride *= 2;
+    }
+    found = std::lower_bound(hi, current.end() - hi > stride ? hi + stride : current.end(),
+                             boundary, lex_less);
+    tile_edge_start_[static_cast<std::size_t>(t)] = found - current.begin();
   }
-  for (std::int64_t t = 0; t < tiles; ++t) {
-    const auto ts = static_cast<std::size_t>(t);
-    tile_edge_start_[ts + 1] += tile_edge_start_[ts];
-  }
+  tile_edge_start_[static_cast<std::size_t>(tiles)] = static_cast<std::int64_t>(current.size());
 
   // Each tile owns the disjoint pair-index range [tile·W, (tile+1)·W) and a
   // private counter-based RNG stream: deaths first — one Bernoulli(q) draw

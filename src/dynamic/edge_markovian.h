@@ -15,7 +15,10 @@
 // of the standard library (no hash-iteration order anywhere), of whether an
 // engine lends a ParallelEvolution pool, and of that pool's worker count.
 // docs/ARCHITECTURE.md §"The portable edge-Markovian sequence" states the
-// exact contract; the golden-sequence test pins it across stdlibs.
+// exact contract; the golden-sequence tests pin it across stdlibs, at one
+// tile and across tile boundaries. A tile finds its slice of the sorted edge
+// list by a galloping search for its boundary pair, so cutting the tiles
+// costs O(tiles·log(m/tiles)), not a pass over the snapshot.
 //
 // Each step's births/deaths double as the reported TopologyDelta, so the jump
 // engine can take its O(Δ·deg) incremental rate path instead of an O(n)
@@ -71,7 +74,7 @@ class EdgeMarkovianNetwork final : public DynamicNetwork {
   // reused across steps (capacity only ever grows).
   std::vector<std::vector<Edge>> tile_removed_;
   std::vector<std::vector<Edge>> tile_added_;
-  std::vector<std::int64_t> tile_edge_start_;  // per-tile [begin, end) into edges()
+  std::vector<std::int64_t> tile_edge_start_;  // per-tile [begin, end) into edges(), searched
   std::vector<Edge> removed_;
   std::vector<Edge> added_;
   bool delta_valid_ = false;

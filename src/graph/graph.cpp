@@ -72,95 +72,48 @@ Graph::Graph(NodeId n, std::vector<Edge> edges)
   build_csr();
 }
 
-void Graph::assign_sorted(NodeId n, std::vector<Edge>& edges) {
+void Graph::refresh(NodeId n) {
   DG_REQUIRE(n >= 0, "node count must be non-negative");
   n_ = n;
-  std::swap(edges_, edges);
   version_ = g_next_version.fetch_add(1);
   build_csr();
 }
 
-namespace {
-
-// Scratch for the cache-blocked CSR fill, reused across every build on the
-// thread (snapshots rebuild millions of times in the dynamic families; these
-// buffers grow once to the largest graph the thread touches and stay there).
-struct CsrScratch {
-  std::vector<Edge> by_v;                  // edges partitioned into v-buckets
-  std::vector<std::int64_t> bucket_start;  // per-bucket offsets into by_v
-  std::vector<std::int64_t> cursor;        // per-node adjacency fill cursors
-};
-thread_local CsrScratch g_csr_scratch;
-
-// v-bucket width: 4096 nodes keeps a bucket's node cursors (32 KB) and its
-// slice of the adjacency array (~avg-degree·4096 entries) inside L2, so the
-// passes that touch memory non-sequentially stay cache-resident.
-constexpr int kVBucketBits = 12;
-
-// Partitions (u, v)-sorted edges into ascending 4096-node v-buckets with a
-// handful of streaming write cursors — one sequential read, ~n/4096
-// sequential write streams. The partition is stable, so inside a bucket the
-// edges keep their (u, v)-lexicographic order; no within-bucket sort by v is
-// needed, because the fill below gives every node its own cursor and only
-// requires ascending u *per node*, which stability already guarantees.
-// The partition's write pass also bumps `u_degree` (offsets-layout, already
-// zeroed, +1-shifted) — u ascends with the read order, so the count rides
-// along for free instead of costing the fill a second sweep of the edges.
-void partition_by_v_bucket(const std::vector<Edge>& edges, NodeId n, CsrScratch& s,
-                           std::vector<std::int64_t>& u_degree) {
-  const std::size_t buckets = (static_cast<std::size_t>(n) >> kVBucketBits) + 1;
-  s.bucket_start.assign(buckets + 1, 0);
-  for (const Edge& e : edges) ++s.bucket_start[(static_cast<std::size_t>(e.v) >> kVBucketBits) + 1];
-  for (std::size_t b = 0; b < buckets; ++b) s.bucket_start[b + 1] += s.bucket_start[b];
-  s.by_v.resize(edges.size());
-  std::vector<std::int64_t>& cur = s.cursor;
-  cur.assign(s.bucket_start.begin(), s.bucket_start.end() - 1);
-  for (const Edge& e : edges) {
-    ++u_degree[static_cast<std::size_t>(e.u) + 1];
-    s.by_v[static_cast<std::size_t>(cur[static_cast<std::size_t>(e.v) >> kVBucketBits]++)] = e;
-  }
-}
-
-}  // namespace
-
 void Graph::build_csr() {
-  // Memory-order note: a (u, v)-sorted edge list walks u sequentially but v
-  // all over the node range, so the naive one-list fill takes two random
-  // accesses per edge (degree count + below-neighbour scatter) — at 10^6
-  // nodes that is a cache miss each, and the fill dominates every dynamic
-  // family's change-point cost. Partitioning a copy into 4096-node v-buckets
-  // first confines every v-indexed access (degree bump, cursor, adjacency
-  // write) to one bucket's L2-resident window at a time, while all u-indexed
-  // passes walk ascending already; the fill then runs at bandwidth instead
-  // of latency.
+  // offsets_ is one entry longer while it fills: node x's degree is counted
+  // at x + 2, so after the prefix sum offsets_[x + 1] is x's row start and
+  // serves as x's append cursor. Once every neighbour is appended, each
+  // cursor has advanced to the next row's start, which is exactly the final
+  // offsets_[x + 1]; dropping the spare tail entry leaves the CSR offsets
+  // with no cursor array beside them.
   const std::size_t nsz = static_cast<std::size_t>(n_);
-  CsrScratch& s = g_csr_scratch;
-  offsets_.assign(nsz + 1, 0);
-  partition_by_v_bucket(edges_, n_, s, offsets_);          // counts u-degrees too
-  for (const Edge& e : s.by_v) ++offsets_[static_cast<std::size_t>(e.v) + 1];  // v in-bucket
-  min_degree_ = n_ > 0 ? static_cast<NodeId>(offsets_[1]) : 0;
+  offsets_.assign(nsz + 2, 0);
+  for (const Edge& e : edges_) {
+    ++offsets_[static_cast<std::size_t>(e.u) + 2];
+    ++offsets_[static_cast<std::size_t>(e.v) + 2];
+  }
+  min_degree_ = n_ > 0 ? static_cast<NodeId>(offsets_[2]) : 0;
   max_degree_ = min_degree_;
   for (std::size_t u = 0; u < nsz; ++u) {
-    const auto deg = static_cast<NodeId>(offsets_[u + 1]);
+    const auto deg = static_cast<NodeId>(offsets_[u + 2]);
     min_degree_ = std::min(min_degree_, deg);
     max_degree_ = std::max(max_degree_, deg);
-    offsets_[u + 1] += offsets_[u];
+    offsets_[u + 2] += offsets_[u + 1];
   }
 
   // Two passes keep every adjacency list sorted without a per-node sort:
-  // pass one appends each node's below-it neighbours (within a bucket each
-  // node v sees its u's in ascending order — the stable partition preserved
-  // the input's u-major order), pass two appends the above-it neighbours
-  // (for fixed u the v's arrive ascending), and every below-neighbour
-  // precedes every above one. Buckets ascend, so pass one's working set
-  // moves through cursor/adjacency in L2-sized windows; pass two is fully
-  // monotonic in u.
+  // pass one appends each node's below-it neighbours (for fixed v the u's
+  // arrive ascending, since the list is u-major), pass two appends the
+  // above-it neighbours (for fixed u the v's arrive ascending), and every
+  // below-neighbour precedes every above one.
   adjacency_.resize(edges_.size() * 2);
-  s.cursor.assign(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : s.by_v)
-    adjacency_[static_cast<std::size_t>(s.cursor[static_cast<std::size_t>(e.v)]++)] = e.u;
-  for (const Edge& e : edges_)
-    adjacency_[static_cast<std::size_t>(s.cursor[static_cast<std::size_t>(e.u)]++)] = e.v;
+  for (const Edge& e : edges_) {
+    adjacency_[static_cast<std::size_t>(offsets_[static_cast<std::size_t>(e.v) + 1]++)] = e.u;
+  }
+  for (const Edge& e : edges_) {
+    adjacency_[static_cast<std::size_t>(offsets_[static_cast<std::size_t>(e.u) + 1]++)] = e.v;
+  }
+  offsets_.pop_back();
 }
 
 NodeId Graph::degree(NodeId u) const {

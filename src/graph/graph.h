@@ -6,12 +6,14 @@
 // topology actually changed at this step" with a single integer compare.
 //
 // Construction is O(n + m): edges are normalized and ordered with two stable
-// counting-sort passes (by v, then by u) and the CSR adjacency is filled with
-// two ordered passes (first every neighbour below the node, then every
-// neighbour above it), which leaves each adjacency list sorted without any
-// comparison sort. Dynamic families that rebuild topologies every change-point
-// should go through graph/topology.h's TopologyBuilder, which reuses scratch
-// buffers and supports delta rebuilds against the previous snapshot.
+// counting-sort passes (by v, then by u), and the CSR is filled straight from
+// the sorted list — degrees counted at both endpoints, a prefix sum, then two
+// ordered passes (first every neighbour below the node, then every neighbour
+// above it), which leaves each adjacency list sorted without any comparison
+// sort and with no scratch copy of the edges. Dynamic families that rebuild
+// topologies every change-point should go through graph/topology.h's
+// TopologyBuilder, which recycles snapshot buffers and supports delta
+// rebuilds against the previous snapshot.
 #pragma once
 
 #include <cstdint>
@@ -92,13 +94,13 @@ class Graph {
  private:
   friend class TopologyBuilder;
 
-  // Re-initializes in place from normalized, sorted, duplicate-free edges with
-  // a fresh version. Swap semantics: `edges` receives this instance's previous
-  // edge buffer, so TopologyBuilder can hand the capacity straight back to the
-  // next delta merge instead of round-tripping it through the allocator.
-  void assign_sorted(NodeId n, std::vector<Edge>& edges);
+  // Re-initializes in place from edges_, which TopologyBuilder has just
+  // written (normalized, sorted, duplicate-free), with a fresh version. The
+  // CSR arrays keep their capacity, so a snapshot slot rebuilt every
+  // change-point stops allocating once it has grown.
+  void refresh(NodeId n);
 
-  // Shared CSR fill over normalized sorted edges.
+  // CSR fill straight from the sorted edge list: O(n + m), no scratch.
   void build_csr();
 
   NodeId n_ = 0;

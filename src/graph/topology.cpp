@@ -50,15 +50,13 @@ const Graph& TopologyBuilder::current() const {
   return graphs_[live_];
 }
 
-const Graph& TopologyBuilder::install_sorted(std::vector<Edge> edges) {
+const Graph& TopologyBuilder::publish() {
   // The slot being overwritten is the snapshot from two rebuilds ago; nobody
   // may hold a reference to it any more (graph_at's one-step validity
-  // contract), so its vector capacity gets recycled in place — and the edge
-  // buffer it held comes back out (assign_sorted swaps) to seed the next
-  // merge_delta without an allocator round trip.
+  // contract), so it is rebuilt in place around the edges just written into
+  // it, keeping its CSR capacity.
   const int next = 1 - live_;
-  graphs_[next].assign_sorted(n_, edges);
-  spare_edges_ = std::move(edges);
+  graphs_[next].refresh(n_);
   live_ = next;
   has_snapshot_ = true;
   return graphs_[live_];
@@ -75,7 +73,8 @@ const Graph& TopologyBuilder::rebuild(std::vector<Edge> edges, bool dedupe) {
       DG_REQUIRE(!(edges[i] == edges[i - 1]), "duplicate edge in a simple graph");
     }
   }
-  return install_sorted(std::move(edges));
+  graphs_[1 - live_].edges_ = std::move(edges);
+  return publish();
 }
 
 const Graph& TopologyBuilder::rebuild_presorted(std::vector<Edge> edges) {
@@ -87,7 +86,8 @@ const Graph& TopologyBuilder::rebuild_presorted(std::vector<Edge> edges) {
               "presorted edges must be strictly increasing");
   }
 #endif
-  return install_sorted(std::move(edges));
+  graphs_[1 - live_].edges_ = std::move(edges);
+  return publish();
 }
 
 const Graph& TopologyBuilder::apply_delta(std::vector<Edge> removed, std::vector<Edge> added) {
@@ -120,9 +120,12 @@ const Graph& TopologyBuilder::apply_delta_sorted(std::span<const Edge> removed,
 const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
                                           std::span<const Edge> added) {
   DG_REQUIRE(has_snapshot_, "apply_delta needs a previous snapshot");
-  const std::vector<Edge>& old = current().edges();
-  std::vector<Edge> merged = std::move(spare_edges_);
-  merged.clear();
+  const std::vector<Edge>& old = graphs_[live_].edges_;
+  // The merge writes straight into the other slot's edge buffer, which holds
+  // the snapshot from two rebuilds ago and so already has about m entries of
+  // capacity; publish() then rebuilds that slot in place.
+  Graph& slot = graphs_[1 - live_];
+  std::vector<Edge>& merged = slot.edges_;
 
   // Parallel path: cut the old edge list into fixed-width tiles and weave
   // each tile independently. All three lists are strictly increasing, so a
@@ -202,28 +205,34 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
     });
     bool any_bad = false;
     for (const std::uint8_t flag : merge_status_) any_bad = any_bad || flag != 0;
-    if (!any_bad) return install_sorted(std::move(merged));
-    merged.clear();
+    if (!any_bad) return publish();
   }
 
+  merged.clear();
   merged.reserve(old.size() + added.size());
 
   // Single pass: copy old edges, dropping removals and weaving in additions.
-  std::size_t r = 0;
-  std::size_t a = 0;
-  for (const Edge& e : old) {
-    while (a < added.size() && edge_less(added[a], e)) merged.push_back(added[a++]);
-    DG_REQUIRE(a >= added.size() || !(added[a] == e), "added edge already present");
-    if (r < removed.size() && removed[r] == e) {
-      ++r;
-      continue;
+  // A violation empties the half-written slot before the error propagates,
+  // so no Graph is left pairing one edge list with another snapshot's CSR.
+  try {
+    std::size_t r = 0;
+    std::size_t a = 0;
+    for (const Edge& e : old) {
+      while (a < added.size() && edge_less(added[a], e)) merged.push_back(added[a++]);
+      DG_REQUIRE(a >= added.size() || !(added[a] == e), "added edge already present");
+      if (r < removed.size() && removed[r] == e) {
+        ++r;
+        continue;
+      }
+      merged.push_back(e);
     }
-    merged.push_back(e);
+    while (a < added.size()) merged.push_back(added[a++]);
+    DG_REQUIRE(r == removed.size(), "removed edge not present in the current snapshot");
+  } catch (...) {
+    slot = Graph();
+    throw;
   }
-  while (a < added.size()) merged.push_back(added[a++]);
-  DG_REQUIRE(r == removed.size(), "removed edge not present in the current snapshot");
-
-  return install_sorted(std::move(merged));
+  return publish();
 }
 
 }  // namespace rumor

@@ -5,8 +5,10 @@
 // snapshots. A TopologyBuilder owns that sequence's construction: it keeps the
 // radix-sort scratch buffers alive across change-points, double-buffers the
 // snapshots (the previous Graph stays valid until the next rebuild, matching
-// the DynamicNetwork::graph_at contract), and offers three entry points on a
-// cost gradient:
+// the DynamicNetwork::graph_at contract), rebuilds the evicted slot in place
+// (a delta merge writes straight into that slot's edge buffer, so a snapshot
+// sequence holds exactly two edge lists and two CSRs), and offers three entry
+// points on a cost gradient:
 //
 //  * rebuild(edges)            — full rebuild from an arbitrary edge list,
 //                                O(n + m) counting sorts, no comparisons;
@@ -81,7 +83,9 @@ class TopologyBuilder {
   // Delta rebuild: remove `removed` from and then insert `added` into the
   // previous snapshot's edge set. Every removed edge must be present and no
   // added edge may already exist (after normalization). O(m + |delta| log
-  // |delta|); the bulk of the work is two linear merges.
+  // |delta|); the bulk of the work is one linear merge and the CSR fill. A
+  // rejected delta leaves current() as it was but empties the previous
+  // snapshot, whose slot the merge had already begun to overwrite.
   const Graph& apply_delta(std::vector<Edge> removed, std::vector<Edge> added);
 
   // Delta rebuild from caller-retained buffers that are already normalized
@@ -92,19 +96,20 @@ class TopologyBuilder {
   const Graph& apply_delta_sorted(std::span<const Edge> removed, std::span<const Edge> added);
 
  private:
-  const Graph& install_sorted(std::vector<Edge> edges);
+  // Rebuilds the non-live slot around the edges just written into it, with a
+  // fresh version, and makes it current().
+  const Graph& publish();
   const Graph& merge_delta(std::span<const Edge> removed, std::span<const Edge> added);
 
   NodeId n_ = 0;
   bool has_snapshot_ = false;
   // Double buffer: `graphs_[live_]` is current(); the other slot holds the
-  // previous snapshot (kept alive for borrowed references) and donates its
-  // vector capacity to the next rebuild.
+  // previous snapshot (kept alive for borrowed references) until the next
+  // rebuild overwrites it in place, vector capacity and all.
   Graph graphs_[2];
   int live_ = 0;
   std::vector<Edge> scratch_tmp_;
   std::vector<std::int64_t> scratch_count_;
-  std::vector<Edge> spare_edges_;  // evicted snapshot's buffer, seeds the next merge
   ParallelFor parallel_for_;
   std::vector<std::uint8_t> merge_status_;  // per-tile delta-violation flags
 };

@@ -39,10 +39,8 @@ ReproManifest parse_manifest(const std::string& summary_line) {
       value = parse_engine(json_spelling(*field));
     } else if constexpr (std::is_same_v<T, Protocol>) {
       value = parse_protocol(json_spelling(*field));
-    } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
-      value = static_cast<T>(column.checked(json_scalar<std::int64_t>(field->text, field->key)));
     } else {
-      value = json_scalar<T>(field->text, field->key);
+      value = column.read<T>(field->text);
     }
   });
 

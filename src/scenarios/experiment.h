@@ -16,10 +16,12 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "scenarios/registry.h"
+#include "support/jsonl.h"
 
 namespace rumor {
 
@@ -76,6 +78,18 @@ struct RunnerColumn {
   // `value` when it lies in [min, max]; else std::invalid_argument naming
   // the column.
   std::int64_t checked(std::int64_t value) const;
+
+  // A written value of this column's type T, by json_scalar's whole-token
+  // grammar; a signed integer must also lie in [min, max]. Manifests and the
+  // command line both read through it, so they accept the same values.
+  template <typename T>
+  T read(std::string_view text) const {
+    if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+      return static_cast<T>(checked(json_scalar<std::int64_t>(text, name)));
+    } else {
+      return json_scalar<T>(text, name);
+    }
+  }
 };
 
 // The `source` column, which front-ends also read under their own spelling:

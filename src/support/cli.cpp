@@ -1,8 +1,7 @@
 #include "support/cli.h"
 
-#include <cstdlib>
-
 #include "support/contracts.h"
+#include "support/jsonl.h"
 
 namespace rumor {
 
@@ -37,13 +36,13 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return json_scalar<std::int64_t>(it->second, "--" + name);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return json_scalar<double>(it->second, "--" + name);
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

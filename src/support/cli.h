@@ -24,6 +24,9 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  // Numbers are whole tokens in json_scalar's grammar (support/jsonl.h), the
+  // one the manifest and the serve protocol read: "3abc", "0.1x", "abc" and
+  // an integer outside int64 are std::invalid_argument naming the option.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

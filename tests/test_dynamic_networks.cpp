@@ -369,6 +369,42 @@ TEST(EdgeMarkovian, GoldenSequencePortable) {
   EXPECT_EQ(fingerprints, golden);
 }
 
+// Runs every task on the calling thread, last tile first: a schedule no pool
+// produces, so a tile that read another tile's state would show here.
+class ReverseEvolution final : public ParallelEvolution {
+ public:
+  void run(std::int64_t tasks, const std::function<void(std::int64_t)>& fn) override {
+    for (std::int64_t task = tasks - 1; task >= 0; --task) fn(task);
+  }
+};
+
+// GoldenSequencePortable's n = 48 fits one evolution tile. Here n = 8200 has
+// n(n-1)/2 = 33,615,900 pairs: two full tiles of 2^24 pairs and a third of
+// 61,468, so every step cuts the edge list at two tile boundaries. The
+// fingerprints were recorded before the tile ranges were found by search
+// instead of by a counting sweep, and must hold with and without a lent pool.
+TEST(EdgeMarkovian, GoldenSequenceAcrossTiles) {
+  const NodeId n = 8200;
+  ASSERT_GT(std::int64_t{n} * (n - 1) / 2, 2 * EdgeMarkovianNetwork::kPairsPerTile);
+  const std::vector<std::uint64_t> golden = {
+      16192726911935439958ULL, 14919807302369937927ULL, 5341584214467652144ULL,
+      476176803630634113ULL,   15324090973252535474ULL, 7551523024042158078ULL,
+      10502036518305316178ULL, 8535053235526875126ULL,  14908497977796081773ULL,
+      13467087747538724682ULL,
+  };
+  for (const bool pooled : {false, true}) {
+    EdgeMarkovianNetwork net(n, 1e-5, 0.25, 2718);
+    ReverseEvolution reverse;
+    if (pooled) net.set_parallel_evolution(&reverse);
+    Informed inf(n);
+    std::vector<std::uint64_t> fingerprints;
+    for (int t = 0; t < 10; ++t) {
+      fingerprints.push_back(edge_fingerprint(net.graph_at(t, inf.view())));
+    }
+    EXPECT_EQ(fingerprints, golden) << (pooled ? "with" : "without") << " a lent pool";
+  }
+}
+
 TEST(EdgeMarkovian, FrozenEdgesNeverDie) {
   // q = 0: the frozen-edges boundary. Edges accumulate and never disappear.
   EdgeMarkovianNetwork net(60, 0.01, 0.0, 5, /*start_empty=*/true);

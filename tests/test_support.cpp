@@ -74,6 +74,26 @@ TEST(Cli, ParsesEqualsAndSpaceForms) {
   EXPECT_FALSE(cli.has("absent"));
 }
 
+TEST(Cli, NumbersAreWholeTokens) {
+  const char* argv[] = {"prog",      "--trials", "3abc",  "--failure", "0.1x", "--rate",
+                        "abc",       "--big",    "4294967298", "--huge", "9223372036854775808",
+                        "--exp",     "1e-3",     "--neg",  "-7"};
+  Cli cli(15, const_cast<char**>(argv));
+  EXPECT_THROW(cli.get_int("trials", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("failure", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("rate", 1.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("huge", 0), std::invalid_argument);  // past int64
+  EXPECT_THROW(cli.get_int("exp", 0), std::invalid_argument);   // not an integer
+  EXPECT_EQ(cli.get_int("big", 0), 4294967298);
+  EXPECT_DOUBLE_EQ(cli.get_double("exp", 0.0), 1e-3);
+  EXPECT_EQ(cli.get_int("neg", 0), -7);
+  try {
+    cli.get_double("failure", 0.0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--failure"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Cli, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "oops"};
   EXPECT_THROW(Cli(2, const_cast<char**>(argv)), std::invalid_argument);

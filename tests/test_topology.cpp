@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -63,6 +64,13 @@ void expect_csr_matches_naive(const Graph& g) {
     degree_sum += static_cast<std::int64_t>(expected.size());
   }
   EXPECT_EQ(degree_sum, g.volume());
+  if (g.node_count() > 0) {
+    const auto by_size = [](const auto& a, const auto& b) { return a.size() < b.size(); };
+    EXPECT_EQ(g.min_degree(),
+              static_cast<NodeId>(std::min_element(naive.begin(), naive.end(), by_size)->size()));
+    EXPECT_EQ(g.max_degree(),
+              static_cast<NodeId>(std::max_element(naive.begin(), naive.end(), by_size)->size()));
+  }
   // Normalized edges must be strictly increasing lexicographically.
   const auto& edges = g.edges();
   for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -243,6 +251,145 @@ TEST(TopologyBuilder_, SnapshotsGetFreshVersionsAndPreviousStaysValid) {
   // graph_at contract: references stay valid until the *next* call).
   EXPECT_EQ(first.edge_count(), m1);
   EXPECT_EQ(topo.current().version(), second.version());
+}
+
+// Edges on n = 3·4096 + 17 nodes, past the 4096-node blocks an earlier CSR
+// fill partitioned by: rows that straddle each block edge b (nodes b-1 and b,
+// neighbours on both sides of b), a tail block of 17 nodes, random edges,
+// and `isolated` nodes of degree 0. Unsorted, with u > v for some edges.
+constexpr NodeId kBlockedN = 3 * 4096 + 17;
+const std::vector<NodeId> kIsolated = {0, 4102, 8199, kBlockedN - 2};
+
+bool is_isolated(NodeId u) {
+  return std::find(kIsolated.begin(), kIsolated.end(), u) != kIsolated.end();
+}
+
+std::vector<Edge> straddling_edges(Rng& rng) {
+  std::vector<Edge> edges;
+  for (const NodeId b : {4096, 8192, 12288}) {
+    for (NodeId d = 1; d <= 6; ++d) {
+      edges.push_back({b - 1, b - 1 + d});  // above b-1, across the edge
+      edges.push_back({b, b - d - 1});      // below b, across the edge
+      edges.push_back({b - d, b + d + 7});
+    }
+    edges.push_back({kBlockedN - 1, b});
+  }
+  while (edges.size() < 20000) {
+    const auto u = static_cast<NodeId>(rng.below(kBlockedN));
+    const auto v = static_cast<NodeId>(rng.below(kBlockedN));
+    if (u != v && !is_isolated(u) && !is_isolated(v)) edges.push_back({u, v});
+  }
+  for (Edge& e : edges) {
+    if (e.u > e.v) std::swap(e.u, e.v);
+  }
+  std::sort(edges.begin(), edges.end(),
+            [](const Edge& a, const Edge& b) { return a.u < b.u || (a.u == b.u && a.v < b.v); });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::shuffle(edges.begin(), edges.end(), rng);
+  for (std::size_t i = 0; i < edges.size(); i += 3) std::swap(edges[i].u, edges[i].v);
+  return edges;
+}
+
+TEST(TopologyBuilder_, FillMatchesNaiveAcrossBlockEdges) {
+  Rng rng(41);
+  const std::vector<Edge> edges = straddling_edges(rng);
+  const Graph reference(kBlockedN, edges);
+  expect_csr_matches_naive(reference);
+  for (const NodeId u : kIsolated) EXPECT_EQ(reference.degree(u), 0);
+  EXPECT_EQ(reference.min_degree(), 0);
+
+  TopologyBuilder topo(kBlockedN);
+  const Graph& built = topo.rebuild(edges);
+  EXPECT_EQ(built.edges(), reference.edges());
+  expect_csr_matches_naive(built);
+
+  for (int round = 0; round < 6; ++round) {
+    const Graph& cur = topo.current();
+    std::vector<Edge> removed;
+    std::vector<Edge> added;
+    // Round 3 connects one isolated node, by an edge no later round removes;
+    // the rest stay isolated.
+    for (const Edge& e : cur.edges()) {
+      if (rng.flip(0.1) && e.u != kIsolated[1] && e.v != kIsolated[1]) removed.push_back(e);
+    }
+    if (round == 3) added.push_back({kIsolated[1], 4095});
+    while (added.size() < 1500) {
+      const auto u = static_cast<NodeId>(rng.below(kBlockedN));
+      const auto v = static_cast<NodeId>(rng.below(kBlockedN));
+      const Edge e{std::min(u, v), std::max(u, v)};
+      if (u != v && !is_isolated(u) && !is_isolated(v) && !cur.has_edge(u, v) &&
+          std::find(added.begin(), added.end(), e) == added.end()) {
+        added.push_back(e);
+      }
+    }
+    std::vector<Edge> expected;
+    for (const Edge& e : cur.edges()) {
+      if (std::find(removed.begin(), removed.end(), e) == removed.end()) expected.push_back(e);
+    }
+    expected.insert(expected.end(), added.begin(), added.end());
+    const Graph next_reference(kBlockedN, expected);
+
+    const Graph& next = topo.apply_delta(std::move(removed), std::move(added));
+    EXPECT_EQ(next.edges(), next_reference.edges());
+    expect_csr_matches_naive(next);
+    EXPECT_EQ(next.degree(kIsolated[0]), 0);
+    EXPECT_EQ(next.degree(kIsolated[1]), round >= 3 ? 1 : 0);
+  }
+}
+
+// A delta merge writes into the evicted snapshot's own edge buffer, so after
+// warm-up a builder's snapshots alternate between exactly two edge buffers:
+// no third buffer, and no reallocation while the edge count holds. Checked
+// on the serial weave and on the tiled weave a lent ParallelFor drives.
+TEST(TopologyBuilder_, ApplyDeltaReusesTwoEdgeBuffers) {
+  // A circulant with 12 chords per node: past kParallelMergeMinEdges, and
+  // several merge tiles.
+  const NodeId n = kBlockedN;
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId k = 1; k <= 12; ++k) edges.push_back({u, (u + k) % n});
+  }
+  ASSERT_GE(static_cast<std::int64_t>(edges.size()), TopologyBuilder::kParallelMergeMinEdges);
+  // Two equal-size deltas that undo each other, so the edge count holds.
+  std::vector<Edge> chords;
+  std::vector<Edge> extra;
+  for (NodeId u = 0; u < n; u += 97) {
+    chords.push_back({u, u + 1});
+    extra.push_back({u, u + 20});
+  }
+
+  for (const bool lend : {false, true}) {
+    TopologyBuilder topo(n);
+    int tiled_merges = 0;
+    if (lend) {
+      topo.set_parallel_for(
+          [&tiled_merges](std::int64_t tasks, const std::function<void(std::int64_t)>& fn) {
+            ++tiled_merges;
+            for (std::int64_t t = tasks - 1; t >= 0; --t) fn(t);
+          });
+    }
+    topo.rebuild(edges);
+    const std::vector<Edge> base = topo.current().edges();
+    std::vector<const Edge*> buffers;
+    for (int step = 0; step < 10; ++step) {
+      const bool forward = step % 2 == 0;
+      const Graph& g =
+          topo.apply_delta_sorted(forward ? chords : extra, forward ? extra : chords);
+      ASSERT_EQ(g.edge_count(), static_cast<std::int64_t>(base.size()));
+      if (!forward) {
+        EXPECT_EQ(g.edges(), base);
+      }
+      if (step >= 2) buffers.push_back(g.edges().data());  // after warm-up
+    }
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      EXPECT_NE(buffers[i], buffers[i ^ 1]) << (lend ? "tiled" : "serial") << " step " << i;
+      if (i >= 2) {
+        EXPECT_EQ(buffers[i], buffers[i - 2]) << (lend ? "tiled" : "serial") << " step " << i;
+      }
+    }
+    expect_csr_matches_naive(topo.current());
+    EXPECT_EQ(tiled_merges, lend ? 10 : 0);
+  }
 }
 
 TEST(TopologyBuilder_, CurrentBeforeRebuildThrows) {

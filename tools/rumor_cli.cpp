@@ -25,8 +25,11 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -36,6 +39,7 @@
 #include "repro/replay.h"
 #include "scenarios/experiment.h"
 #include "support/cli.h"
+#include "support/contracts.h"
 #include "support/table.h"
 #include "support/timer.h"
 
@@ -78,6 +82,27 @@ std::map<std::string, std::string> scenario_overrides(const Cli& cli) {
   return overrides;
 }
 
+// `--flag` read as manifest column `column` reads it: that column's type and
+// range (for_each_runner_column), so no flag value is narrowed or wrapped
+// into one the manifest would then record.
+template <typename T>
+T column_option(const Cli& cli, const std::string& flag, std::string_view column, T fallback) {
+  if (!cli.has(flag)) return fallback;
+  RunnerOptions probe;
+  std::optional<T> out;
+  try {
+    for_each_runner_column(probe, [&](const RunnerColumn& c, const auto& value) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(value)>, T>) {
+        if (c.name == column) out = c.read<T>(cli.get(flag, ""));
+      }
+    });
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("--" + flag + ": " + e.what());
+  }
+  DG_ASSERT(out.has_value(), "no runner column of this type is named " + std::string(column));
+  return *out;
+}
+
 RunnerOptions runner_options(const Cli& cli) {
   // The --scale preset sizes a run for large-n sweeps: every hardware thread
   // by default and fewer (but bigger) trials. Explicit --threads/--trials
@@ -90,10 +115,10 @@ RunnerOptions runner_options(const Cli& cli) {
   RunnerOptions opt;
   opt.engine = parse_engine(cli.get("engine", "async_jump"));
   opt.protocol = parse_protocol(cli.get("protocol", "push_pull"));
-  opt.trials = static_cast<int>(cli.get_int("trials", scale ? 8 : 30));
-  opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  opt.threads = static_cast<int>(cli.get_int("threads", scale ? hw : 1));
-  opt.chunk_trials = static_cast<int>(cli.get_int("chunk", 0));
+  opt.trials = column_option(cli, "trials", "trials", scale ? 8 : 30);
+  opt.seed = column_option<std::uint64_t>(cli, "seed", "seed", 1);
+  opt.threads = column_option(cli, "threads", "threads", scale ? hw : 1);
+  opt.chunk_trials = column_option(cli, "chunk", "chunk_trials", 0);
   opt.bound_continuation_cap = cli.get_int("bound-cap", opt.bound_continuation_cap);
   opt.clock_rate = cli.get_double("clock-rate", 1.0);
   opt.time_limit = cli.get_double("time-limit", opt.time_limit);
@@ -380,7 +405,7 @@ int cmd_replay(const Cli& cli) {
   const std::vector<RecordedCell> recording = load_recording(in);
 
   ReplayOptions options;
-  options.threads_override = static_cast<int>(cli.get_int("threads", 0));
+  options.threads_override = column_option(cli, "threads", "threads", 0);
   options.strict_build = cli.get_bool("strict-build", false);
   options.build_info = RUMOR_BUILD_INFO;
 
