@@ -16,7 +16,6 @@
 #include "dynamic/mobile_geometric.h"
 #include "graph/connectivity.h"
 #include "support/cli.h"
-#include "support/sparkline.h"
 #include "support/table.h"
 
 int main(int argc, char** argv) {
@@ -74,7 +73,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "  done at t = " << Table::cell(r.spread_time, 5) << " ("
             << (r.completed ? "complete" : "hit limit") << ")\n";
-  std::cout << "\n  informed fraction over time:\n  [" << sparkline(r.trace, 60, agents)
-            << "]\n";
   return 0;
 }

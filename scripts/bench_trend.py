@@ -34,42 +34,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from compare_bench import load_summaries  # noqa: E402
 
 
-def load_microbenches(path):
-    """Per-benchmark microbench cells from the {"record":"microbench"} lines
-    run_bench.sh records (google-benchmark output, one line per benchmark).
-    Throughput is items_per_second when the benchmark reports a rate, else
-    inverse wall time; both are bigger-is-better, which is all the trend
-    rendering and the REGRESSED annotation assume. Keys are disjoint from
-    load_summaries' manifest tuples, so the two cell families merge into one
-    table without collisions."""
-    cells = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or '"record":"microbench"' not in line:
-                continue
-            rec = json.loads(line)
-            if rec.get("record") != "microbench" or not rec.get("name"):
-                continue
-            throughput = rec.get("items_per_second")
-            if not throughput:
-                real_time = rec.get("real_time_ns")
-                if not real_time or real_time <= 0:
-                    continue
-                throughput = 1e9 / real_time
-            cells[("microbench", rec["name"])] = {
-                "label": "ub:" + rec["name"],
-                "throughput": throughput,
-            }
-    return cells
-
-
-def load_cells(path):
-    cells = load_summaries(path)
-    cells.update(load_microbenches(path))
-    return cells
-
-
 def render(snapshots, threshold=0.25):
     """snapshots: ordered [(name, cells)] as loaded by load_summaries."""
     cells = {}  # key -> label, in first-seen (chronological) order
@@ -166,7 +130,7 @@ def main():
     missing = [p for p in args.snapshots if not os.path.exists(p)]
     if missing:
         parser.error("no such snapshot: %s" % ", ".join(missing))
-    loaded = [(os.path.basename(p), load_cells(p)) for p in args.snapshots]
+    loaded = [(os.path.basename(p), load_summaries(p)) for p in args.snapshots]
     print("\n".join(render(loaded, args.threshold)))
 
 

@@ -14,7 +14,16 @@ if [ ! -x "$serve" ]; then
   exit 2
 fi
 
-fail() { echo "check_serve_cli.sh: $*" >&2; exit 1; }
+# Names the failed check, then shows the daemon log and the last client
+# output, so a failure explains itself.
+log=""
+out=""
+fail() {
+  echo "check_serve_cli.sh: $*" >&2
+  [ -f "$log" ] && { echo "--- daemon log:"; cat "$log"; } >&2
+  [ -n "$out" ] && printf -- '--- last client output:\n%s\n' "$out" >&2
+  exit 1
+}
 
 # --- offline surface: help and argument validation --------------------------
 "$serve" --help | grep -q 'usage: rumor_serve' || fail "--help lacks usage text"
@@ -44,8 +53,10 @@ cleanup() {
   rm -f "$sock" "$log"
 }
 trap cleanup EXIT
-for _ in $(seq 50); do [ -S "$sock" ] && break; sleep 0.1; done
-[ -S "$sock" ] || { cat "$log" >&2; fail "daemon did not bind $sock"; }
+# The socket file appears at bind(), before listen(); the log line comes
+# after listen(), so only it says that a client can connect.
+for _ in $(seq 50); do grep -q 'rumor_serve: listening on' "$log" && break; sleep 0.1; done
+grep -q 'rumor_serve: listening on' "$log" || fail "daemon is not listening on $sock"
 
 out=$("$serve" client --socket "$sock" \
   '{"id":"ok","cmd":"run","scenario":"dynamic_star","n":16,"trials":2}') \
@@ -77,7 +88,7 @@ grep -q '"cache_misses":1' <<<"$stats" \
 "$serve" client --socket "$sock" '{"id":"x","cmd":"shutdown"}' >/dev/null \
   || fail "shutdown request should exit 0"
 wait "$daemon" || fail "daemon should exit 0 after a requested shutdown"
-grep -q 'shut down cleanly' "$log" || { cat "$log" >&2; fail "no clean-shutdown log"; }
+grep -q 'shut down cleanly' "$log" || fail "no clean-shutdown log"
 [ -S "$sock" ] && fail "daemon left its socket file behind"
 trap - EXIT
 rm -f "$log"

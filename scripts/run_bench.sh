@@ -11,8 +11,8 @@
 #     count, sanitizer and build id, so every snapshot names the machine
 #     class that produced it (a flat thread curve on a 1-vCPU container reads
 #     as exactly that, not as a scaling bug);
-#   * "microbench"         — bench_engine_throughput (google-benchmark)
-#     converted to one record per benchmark, when the binary exists.
+#   * "perf_counters"      — hardware counters on one pinned cell, when
+#     `perf stat` works here.
 #
 # Usage: scripts/run_bench.sh [OUTPUT.json]     (default BENCH_3.json)
 #   BUILD_DIR=build-release scripts/run_bench.sh    # alternate build tree
@@ -38,13 +38,6 @@ cmake --build "$BUILD_DIR" --target rumor_cli -j"$(nproc)"
 # matrices must work in a tools-only build tree (RUMOR_BUILD_BENCHES=OFF).
 if [ "$MATRIX" = full ]; then
   cmake --build "$BUILD_DIR" --target bench_scenario_matrix -j"$(nproc)"
-fi
-# Optional target: only generated when google-benchmark is installed, and
-# only worth building for the matrices that run it (the scale matrices skip
-# microbenches entirely).
-if [[ "$MATRIX" != scale* ]] &&
-   cmake --build "$BUILD_DIR" --target help 2>/dev/null | grep -q bench_engine_throughput; then
-  cmake --build "$BUILD_DIR" --target bench_engine_throughput -j"$(nproc)"
 fi
 
 cli="$BUILD_DIR/tools/rumor_cli"
@@ -189,33 +182,4 @@ EOF
   rm -f "$perf_tmp"
 fi
 
-# google-benchmark microbenches, one JSON-lines record per benchmark. The
-# scale matrices skip them: their cells are macro-scale by construction and
-# the smoke job should spend its minutes on the 10^5-node sweeps.
-if [[ "$MATRIX" != scale* ]]; then
-  tmp=$(mktemp)
-  trap 'rm -f "$tmp"' EXIT
-  bench="$BUILD_DIR/bench/bench_engine_throughput"
-  if [ -x "$bench" ]; then
-    "$bench" \
-      --benchmark_filter='JumpEngine|TickEngine|SyncEngine|BlockRates|Fenwick|Topology|EdgeMarkovianStep' \
-      --benchmark_format=json > "$tmp" 2>/dev/null
-    python3 - "$tmp" >> "$OUT" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-for b in data.get("benchmarks", []):
-    print(json.dumps({
-        "record": "microbench",
-        "name": b["name"],
-        "real_time_ns": b.get("real_time"),
-        "items_per_second": b.get("items_per_second"),
-    }, separators=(",", ":")))
-EOF
-  fi
-fi
-
-echo "wrote $OUT ($(grep -c '"record":"summary"' "$OUT") summary records," \
-     "$(grep -c '"record":"microbench"' "$OUT" || true) microbench records)" >&2
+echo "wrote $OUT ($(grep -c '"record":"summary"' "$OUT") summary records)" >&2

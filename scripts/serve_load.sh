@@ -28,7 +28,15 @@ for bin in "$serve" "$cli"; do
   fi
 done
 
-fail() { echo "serve_load.sh: $*" >&2; exit 1; }
+# Names the failed check, then shows the daemon log and the last client
+# output, so a failure explains itself.
+out=""
+fail() {
+  echo "serve_load.sh: $*" >&2
+  [ -f "${work:-}/daemon.log" ] && { echo "--- daemon log:"; cat "$work/daemon.log"; } >&2
+  [ -n "$out" ] && printf -- '--- last client output:\n%s\n' "$out" >&2
+  exit 1
+}
 strip_telemetry() {
   sed -E 's/"(elapsed_seconds|peak_rss_mb)":[^,}]*[,}]//g'
 }
@@ -44,19 +52,25 @@ cleanup() {
 trap cleanup EXIT
 
 start_daemon() {  # $1 = extra flags (word-split on purpose)
+  : > "$work/daemon.log"  # before the fork, so no earlier daemon's line is read
   # shellcheck disable=SC2086
   "$serve" serve --socket "$sock" $1 2>"$work/daemon.log" &
   daemon=$!
-  for _ in $(seq 50); do [ -S "$sock" ] && break; sleep 0.1; done
-  [ -S "$sock" ] || { cat "$work/daemon.log" >&2; fail "daemon did not bind $sock"; }
+  # The socket file appears at bind(), before listen(); the log line comes
+  # after listen(), so only it says that a client can connect.
+  for _ in $(seq 50); do
+    grep -q 'rumor_serve: listening on' "$work/daemon.log" && break
+    sleep 0.1
+  done
+  grep -q 'rumor_serve: listening on' "$work/daemon.log" \
+    || fail "daemon is not listening on $sock"
 }
 stop_daemon() {
   "$serve" client --socket "$sock" '{"id":"bye","cmd":"shutdown"}' >/dev/null \
     || fail "shutdown request failed"
   wait "$daemon" || fail "daemon exited non-zero"
   daemon=""
-  grep -q 'shut down cleanly' "$work/daemon.log" \
-    || { cat "$work/daemon.log" >&2; fail "daemon did not log a clean shutdown"; }
+  grep -q 'shut down cleanly' "$work/daemon.log" || fail "daemon did not log a clean shutdown"
   [ -S "$sock" ] && fail "daemon left its socket file behind"
   return 0
 }

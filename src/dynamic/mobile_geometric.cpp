@@ -38,18 +38,6 @@ MobileGeometricNetwork::MobileGeometricNetwork(NodeId n, double radius, double s
   rebuild();
 }
 
-void MobileGeometricNetwork::set_parallel_evolution(ParallelEvolution* evolution) {
-  evolution_ = evolution;
-  if (evolution != nullptr) {
-    topo_.set_parallel_for(
-        [evolution](std::int64_t tasks, const std::function<void(std::int64_t)>& fn) {
-          evolution->run(tasks, fn);
-        });
-  } else {
-    topo_.set_parallel_for({});
-  }
-}
-
 void MobileGeometricNetwork::run_tiles(std::int64_t tiles,
                                        const std::function<void(std::int64_t)>& fn) {
   if (evolution_ != nullptr && tiles > 1) {

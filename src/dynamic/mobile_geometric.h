@@ -47,9 +47,9 @@ class MobileGeometricNetwork final : public DynamicNetwork {
   // (consuming no randomness — the per-seed sequence is unchanged).
   bool reports_deltas() const override { return true; }
   std::optional<TopologyDelta> last_delta() const override;
-  // Keeps the pool for the tiled move/rebuild passes and forwards it to the
-  // builder's parallel delta merge.
-  void set_parallel_evolution(ParallelEvolution* evolution) override;
+  // Keeps the pool for the tiled move/rebuild passes. The builder gets none:
+  // only its delta merge is parallel, and this family always rebuilds.
+  void set_parallel_evolution(ParallelEvolution* evolution) override { evolution_ = evolution; }
 
   const std::vector<double>& xs() const { return x_; }
   const std::vector<double>& ys() const { return y_; }

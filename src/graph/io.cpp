@@ -120,19 +120,4 @@ std::vector<Graph> load_trace(const std::string& path) {
   return read_trace(in);
 }
 
-void write_dot(std::ostream& os, const Graph& g, const std::vector<std::uint8_t>& informed) {
-  DG_REQUIRE(informed.empty() || informed.size() == static_cast<std::size_t>(g.node_count()),
-             "informed indicator size must match the node count");
-  os << "graph G {\n  node [shape=circle];\n";
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    os << "  " << u;
-    if (!informed.empty() && informed[static_cast<std::size_t>(u)] != 0) {
-      os << " [style=filled, fillcolor=lightblue]";
-    }
-    os << ";\n";
-  }
-  for (const Edge& e : g.edges()) os << "  " << e.u << " -- " << e.v << ";\n";
-  os << "}\n";
-}
-
 }  // namespace rumor

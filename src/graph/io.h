@@ -5,8 +5,6 @@
 // Trace format (a dynamic network): the concatenation of edge-list blocks
 // separated by lines containing only "--"; all blocks share the node count
 // declared in the first block.
-// DOT export renders a single graph for graphviz, optionally colouring an
-// informed set.
 #pragma once
 
 #include <iosfwd>
@@ -28,9 +26,5 @@ void save_graph(const std::string& path, const Graph& g);
 Graph load_graph(const std::string& path);
 void save_trace(const std::string& path, const std::vector<Graph>& graphs);
 std::vector<Graph> load_trace(const std::string& path);
-
-// Graphviz DOT; nodes in `informed` (may be empty) are filled.
-void write_dot(std::ostream& os, const Graph& g,
-               const std::vector<std::uint8_t>& informed = {});
 
 }  // namespace rumor

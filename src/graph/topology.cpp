@@ -90,18 +90,6 @@ const Graph& TopologyBuilder::rebuild_presorted(std::vector<Edge> edges) {
   return publish();
 }
 
-const Graph& TopologyBuilder::apply_delta(std::vector<Edge> removed, std::vector<Edge> added) {
-  normalize(n_, removed);
-  normalize(n_, added);
-  std::sort(removed.begin(), removed.end(), edge_less);
-  std::sort(added.begin(), added.end(), edge_less);
-  for (std::size_t i = 1; i < removed.size(); ++i)
-    DG_REQUIRE(!(removed[i] == removed[i - 1]), "duplicate edge in removal delta");
-  for (std::size_t i = 1; i < added.size(); ++i)
-    DG_REQUIRE(!(added[i] == added[i - 1]), "duplicate edge in addition delta");
-  return merge_delta(removed, added);
-}
-
 const Graph& TopologyBuilder::apply_delta_sorted(std::span<const Edge> removed,
                                                  std::span<const Edge> added) {
 #ifndef NDEBUG
@@ -119,7 +107,7 @@ const Graph& TopologyBuilder::apply_delta_sorted(std::span<const Edge> removed,
 
 const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
                                           std::span<const Edge> added) {
-  DG_REQUIRE(has_snapshot_, "apply_delta needs a previous snapshot");
+  DG_REQUIRE(has_snapshot_, "apply_delta_sorted needs a previous snapshot");
   const std::vector<Edge>& old = graphs_[live_].edges_;
   // The merge writes straight into the other slot's edge buffer, which holds
   // the snapshot from two rebuilds ago and so already has about m entries of

@@ -16,8 +16,8 @@
 //                                lexicographically sorted, duplicate-free
 //                                edges (e.g. a filtered subset of another
 //                                graph's edges()); skips sorting entirely;
-//  * apply_delta(rem, add)     — merge the previous snapshot's sorted edge
-//                                list with small sorted removal/addition
+//  * apply_delta_sorted(rem, add) — merge the previous snapshot's sorted
+//                                edge list with small sorted removal/addition
 //                                deltas in O(m + |delta|).
 //
 // Each call returns a reference to a fresh immutable Graph with a new
@@ -53,11 +53,12 @@ class TopologyBuilder {
 
   // Parallel-for with the ParallelEvolution::run signature: invokes fn(task)
   // once per task in [0, tasks), on any threads. The graph layer cannot see
-  // dynamic/'s ParallelEvolution interface, so families forward their lent
-  // pool through this std::function instead (see set_parallel_evolution in
-  // the tiled families). Lending or revoking it never changes a snapshot:
-  // the parallel merge writes each tile to a precomputed disjoint output
-  // range of the same weave the serial path produces.
+  // dynamic/'s ParallelEvolution interface, so a family forwards its lent
+  // pool through this std::function instead (see
+  // EdgeMarkovianNetwork::set_parallel_evolution). Lending or revoking it
+  // never changes a snapshot: the parallel merge writes each tile to a
+  // precomputed disjoint output range of the same weave the serial path
+  // produces.
   using ParallelFor = std::function<void(std::int64_t, const std::function<void(std::int64_t)>&)>;
 
   explicit TopologyBuilder(NodeId n);
@@ -81,18 +82,15 @@ class TopologyBuilder {
   const Graph& rebuild_presorted(std::vector<Edge> edges);
 
   // Delta rebuild: remove `removed` from and then insert `added` into the
-  // previous snapshot's edge set. Every removed edge must be present and no
-  // added edge may already exist (after normalization). O(m + |delta| log
-  // |delta|); the bulk of the work is one linear merge and the CSR fill. A
-  // rejected delta leaves current() as it was but empties the previous
-  // snapshot, whose slot the merge had already begun to overwrite.
-  const Graph& apply_delta(std::vector<Edge> removed, std::vector<Edge> added);
-
-  // Delta rebuild from caller-retained buffers that are already normalized
-  // (u < v), lexicographically sorted, and duplicate-free — the exact form
-  // delta-reporting families expose through DynamicNetwork::last_delta().
-  // Skips the sort and does not consume the buffers, so one pair of vectors
-  // serves both this builder and the family's delta report. O(m + |delta|).
+  // previous snapshot's edge set. Both are caller-retained buffers that are
+  // already normalized (u < v), lexicographically sorted, and duplicate-free
+  // — the exact form delta-reporting families expose through
+  // DynamicNetwork::last_delta() — so one pair of vectors serves both this
+  // builder and the family's delta report. Every removed edge must be
+  // present and no added edge may already exist. O(m + |delta|): one linear
+  // merge and the CSR fill. A rejected delta leaves current() as it was but
+  // empties the previous snapshot, whose slot the merge had already begun to
+  // overwrite.
   const Graph& apply_delta_sorted(std::span<const Edge> removed, std::span<const Edge> added);
 
  private:

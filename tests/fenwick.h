@@ -1,10 +1,9 @@
 // Fenwick (binary indexed) tree over non-negative double weights with
 // O(log n) point update, prefix sum, and inverse-CDF sampling.
 //
-// This is the core data structure of the exact event-driven ("jump") engine:
-// it holds, for every uninformed node v, the total Poisson rate at which v
-// becomes informed, and lets the engine sample the next informed node in
-// O(log n) proportionally to those rates.
+// A test oracle: the jump engine's rate table (stats/block_rates.h) must
+// answer every total and sample query the way this tree does, and
+// test_block_rates checks it against this tree on random workloads.
 #pragma once
 
 #include <cstddef>

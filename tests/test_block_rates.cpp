@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "fenwick.h"
 #include "stats/block_rates.h"
 #include "stats/distributions.h"
-#include "stats/fenwick.h"
 #include "stats/rng.h"
 #include "support/bitset.h"
 

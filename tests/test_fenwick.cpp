@@ -1,9 +1,9 @@
-// Unit tests for the Fenwick tree used by the jump engine's rate table.
+// Unit tests for the Fenwick tree that test_block_rates uses as its oracle.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "stats/fenwick.h"
+#include "fenwick.h"
 #include "stats/rng.h"
 
 namespace rumor {

@@ -1,4 +1,4 @@
-// Tests for graph/trace serialization and DOT export.
+// Tests for graph/trace serialization.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -118,25 +118,6 @@ TEST(Files, SaveAndLoad) {
   std::remove(trace_path.c_str());
 
   EXPECT_THROW(load_graph("/nonexistent/nope.graph"), std::invalid_argument);
-}
-
-TEST(Dot, RendersNodesAndEdges) {
-  const Graph g = make_path(3);
-  std::stringstream ss;
-  write_dot(ss, g);
-  const std::string out = ss.str();
-  EXPECT_NE(out.find("graph G {"), std::string::npos);
-  EXPECT_NE(out.find("0 -- 1;"), std::string::npos);
-  EXPECT_NE(out.find("1 -- 2;"), std::string::npos);
-}
-
-TEST(Dot, HighlightsInformedNodes) {
-  const Graph g = make_path(3);
-  std::stringstream ss;
-  write_dot(ss, g, {1, 0, 1});
-  const std::string out = ss.str();
-  EXPECT_NE(out.find("fillcolor"), std::string::npos);
-  EXPECT_THROW(write_dot(ss, g, {1, 0}), std::invalid_argument);
 }
 
 }  // namespace

@@ -31,6 +31,8 @@
 namespace rumor {
 namespace {
 
+bool edge_less(const Edge& a, const Edge& b) { return a.u < b.u || (a.u == b.u && a.v < b.v); }
+
 // Naive reference: adjacency lists rebuilt from the edge list with plain
 // comparison sorts, the way Graph did it before the radix/CSR overhaul.
 std::vector<std::vector<NodeId>> naive_adjacency(const Graph& g) {
@@ -213,7 +215,8 @@ TEST(TopologyBuilder_, ApplyDeltaMatchesFullRebuild) {
     expected.insert(expected.end(), added.begin(), added.end());
     const Graph reference(30, expected);
 
-    const Graph& next = topo.apply_delta(std::move(removed), std::move(added));
+    // Both deltas were collected in edge order, so they are already sorted.
+    const Graph& next = topo.apply_delta_sorted(removed, added);
     EXPECT_EQ(next.edges(), reference.edges());
     expect_csr_matches_naive(next);
   }
@@ -222,9 +225,13 @@ TEST(TopologyBuilder_, ApplyDeltaMatchesFullRebuild) {
 TEST(TopologyBuilder_, ApplyDeltaValidatesMembership) {
   TopologyBuilder topo(8);
   topo.rebuild({{0, 1}, {2, 3}});
-  EXPECT_THROW(topo.apply_delta({{4, 5}}, {}), std::invalid_argument);
-  EXPECT_THROW(topo.apply_delta({}, {{0, 1}}), std::invalid_argument);
-  EXPECT_NO_THROW(topo.apply_delta({{0, 1}}, {{0, 2}}));
+  const std::vector<Edge> none;
+  const std::vector<Edge> absent = {{4, 5}};
+  const std::vector<Edge> present = {{0, 1}};
+  const std::vector<Edge> fresh = {{0, 2}};
+  EXPECT_THROW(topo.apply_delta_sorted(absent, none), std::invalid_argument);
+  EXPECT_THROW(topo.apply_delta_sorted(none, present), std::invalid_argument);
+  EXPECT_NO_THROW(topo.apply_delta_sorted(present, fresh));
   EXPECT_TRUE(topo.current().has_edge(0, 2));
   EXPECT_FALSE(topo.current().has_edge(0, 1));
 }
@@ -282,8 +289,7 @@ std::vector<Edge> straddling_edges(Rng& rng) {
   for (Edge& e : edges) {
     if (e.u > e.v) std::swap(e.u, e.v);
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const Edge& a, const Edge& b) { return a.u < b.u || (a.u == b.u && a.v < b.v); });
+  std::sort(edges.begin(), edges.end(), edge_less);
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   std::shuffle(edges.begin(), edges.end(), rng);
   for (std::size_t i = 0; i < edges.size(); i += 3) std::swap(edges[i].u, edges[i].v);
@@ -312,7 +318,7 @@ TEST(TopologyBuilder_, FillMatchesNaiveAcrossBlockEdges) {
     for (const Edge& e : cur.edges()) {
       if (rng.flip(0.1) && e.u != kIsolated[1] && e.v != kIsolated[1]) removed.push_back(e);
     }
-    if (round == 3) added.push_back({kIsolated[1], 4095});
+    if (round == 3) added.push_back({4095, kIsolated[1]});
     while (added.size() < 1500) {
       const auto u = static_cast<NodeId>(rng.below(kBlockedN));
       const auto v = static_cast<NodeId>(rng.below(kBlockedN));
@@ -329,7 +335,8 @@ TEST(TopologyBuilder_, FillMatchesNaiveAcrossBlockEdges) {
     expected.insert(expected.end(), added.begin(), added.end());
     const Graph next_reference(kBlockedN, expected);
 
-    const Graph& next = topo.apply_delta(std::move(removed), std::move(added));
+    std::sort(added.begin(), added.end(), edge_less);
+    const Graph& next = topo.apply_delta_sorted(removed, added);
     EXPECT_EQ(next.edges(), next_reference.edges());
     expect_csr_matches_naive(next);
     EXPECT_EQ(next.degree(kIsolated[0]), 0);
