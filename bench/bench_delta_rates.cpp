@@ -109,8 +109,16 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
+  // The delta path is a sure win only while the factor is at least the worst
+  // measured ratio; say which of the two is larger rather than assume it.
+  const auto cost_factor = static_cast<double>(RateModel::kDeltaCostFactor);
   std::cout << "\nworst per-candidate / per-node cost ratio: " << worst_factor
-            << " (RateModel::kDeltaCostFactor should dominate this)\n";
+            << "\nRateModel::kDeltaCostFactor: " << RateModel::kDeltaCostFactor << " ("
+            << (cost_factor >= worst_factor
+                    ? "not below the worst measured ratio"
+                    : "below the worst measured ratio: the delta path can be taken where it "
+                      "is slower than a rebuild")
+            << ")\n";
   bench::verdict(worst_factor > 0.0, "measured the delta-path crossover ratio");
   return 0;
 }

@@ -15,7 +15,9 @@
 #   - a near-stationary edge-Markovian cell sized so the O(delta*deg)
 #     incremental rate path engages (candidates*32 < n, core/rate_model.h),
 #   - an n=20000 expander cell above the 16384-node tiling threshold, so
-#     threaded runs exercise the tiled parallel rebuild/evolution paths.
+#     threaded runs exercise the tiled parallel rebuild/evolution paths,
+#   - an n=100000 edge-Markovian cell (m ~ 400k) above the 2^17-edge
+#     threshold of TopologyBuilder's tiled delta-merge weave.
 #
 # Usage: scripts/check_fingerprints.sh path/to/rumor_cli
 #          [--threads N] [--update] [--out FILE]
@@ -63,6 +65,10 @@ topo=(--threads "$threads")
   # surplus workers into tiled rebuild teams, which must not change bytes.
   "$cli" fingerprint --scenarios edge_sampling_expander --engines async_jump \
     --sweep n=20000 --d 4 --p 0.5 --trials 2 --seed 9 "${topo[@]}"
+  # m ~ 400k edges, above TopologyBuilder::kParallelMergeMinEdges (2^17):
+  # threaded runs take the tiled delta-merge weave, serial runs the plain one.
+  "$cli" fingerprint --scenarios edge_markovian --engines async_jump \
+    --sweep n=100000 --p 1.6e-5 --q 0.2 --trials 2 --seed 7 "${topo[@]}"
 } > "$tmp"
 
 if [ -n "$out" ]; then cp "$tmp" "$out"; fi

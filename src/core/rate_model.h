@@ -68,6 +68,17 @@ class RateModel {
   // (winv recompute, gather, table sums) into independent index ranges.
   static constexpr NodeId kRebuildTile = 8192;
 
+  // Crossover between the two change-point paths: the delta path is taken
+  // only while candidates·factor < n, so step-sized churn falls back to the
+  // rebuild (where bench/bench_delta_rates.cpp shows the delta path up to
+  // 170x slower). That bench (Release, n = 2^17, mean degree 8) measures the
+  // rebuild at ~5-8 ns/node and the delta path at ~20-100 ns per candidate
+  // entry, worst when deltas are small and block resums and cache misses are
+  // unshared. The factor was set from a worst ratio of ~30x; on a 4-vCPU x86
+  // VM the bench now reads ~60x and prints the factor beside it, so near that
+  // worst case the delta path can be taken where a rebuild is cheaper.
+  static constexpr std::int64_t kDeltaCostFactor = 32;
+
   // Change-point path choice. `automatic` is the production setting; the two
   // forced policies exist for the cross-path identity tests and for bench
   // ablations.
@@ -253,17 +264,6 @@ class RateModel {
   }
 
  private:
-  // Measured crossover between the two change-point paths (Release,
-  // bench/bench_delta_rates.cpp, n = 2^17, mean degree 8): the rebuild costs
-  // ~5-7 ns/node while the delta path costs ~20-100 ns per candidate entry —
-  // worst (~30x the per-node cost) exactly when deltas are small and block
-  // resums and cache misses are unshared, which is the regime the heuristic
-  // must judge. Taking the delta path only while candidates·factor < n makes
-  // it a strict win at the measured worst case and falls back to the rebuild
-  // for step-sized churn (where the bench shows the delta path up to 170x
-  // slower).
-  static constexpr std::int64_t kDeltaCostFactor = 32;
-
   bool delta_cheaper(const CsrView& csr, const TopologyDelta& delta) const {
     // Candidate bound: both endpoints of every changed edge plus all their
     // current neighbours, plus the dirty entries. Degrees come from the new

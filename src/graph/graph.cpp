@@ -9,6 +9,23 @@ namespace rumor {
 
 namespace {
 std::atomic<std::uint64_t> g_next_version{1};
+
+// How many edges ahead the CSR fill's scatter passes prefetch. Both passes
+// write at a random v, so at large n nearly every write misses. Timed over
+// build_csr on random sorted edge lists on a 4-vCPU x86 VM, D = 8..128 all
+// cut the fill 1.7-2x at n = 2·10^4, m = 2.1·10^5 and at n = 10^6,
+// m = 4·10^6; 16, 32 and 64 form the plateau at both sizes and 32 sits in
+// its middle.
+constexpr std::size_t kFillPrefetchDistance = 32;
+
+// Advisory write prefetch: it can never change a value, only hide a miss.
+void prefetch_for_write(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, 1);
+#else
+  (void)p;
+#endif
+}
 }  // namespace
 
 namespace detail {
@@ -86,11 +103,24 @@ void Graph::build_csr() {
   // cursor has advanced to the next row's start, which is exactly the final
   // offsets_[x + 1]; dropping the spare tail entry leaves the CSR offsets
   // with no cursor array beside them.
+  //
+  // u only grows along the u-major list, so the u-side writes stream; the
+  // v-side writes of the degree count and the below pass scatter. Those two
+  // passes prefetch edge i + D's counter or cursor, and the below pass also
+  // the adjacency slot that edge i + D/2's cursor points at. That cursor may
+  // be stale by the time edge i + D/2 is written (edges in between that share
+  // its v advance it), which costs at most a wasted hint. Every prefetch
+  // address is data() + k with k inside the array: v + 2 <= n + 1 holds for
+  // every stored edge, and the cursor is checked against 2m.
+  constexpr std::size_t kAhead = kFillPrefetchDistance;
   const std::size_t nsz = static_cast<std::size_t>(n_);
+  const std::size_t m = edges_.size();
+  auto v_of = [&](std::size_t i) { return static_cast<std::size_t>(edges_[i].v); };
   offsets_.assign(nsz + 2, 0);
-  for (const Edge& e : edges_) {
-    ++offsets_[static_cast<std::size_t>(e.u) + 2];
-    ++offsets_[static_cast<std::size_t>(e.v) + 2];
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i + kAhead < m) prefetch_for_write(offsets_.data() + v_of(i + kAhead) + 2);
+    ++offsets_[static_cast<std::size_t>(edges_[i].u) + 2];
+    ++offsets_[v_of(i) + 2];
   }
   min_degree_ = n_ > 0 ? static_cast<NodeId>(offsets_[2]) : 0;
   max_degree_ = min_degree_;
@@ -106,9 +136,14 @@ void Graph::build_csr() {
   // arrive ascending, since the list is u-major), pass two appends the
   // above-it neighbours (for fixed u the v's arrive ascending), and every
   // below-neighbour precedes every above one.
-  adjacency_.resize(edges_.size() * 2);
-  for (const Edge& e : edges_) {
-    adjacency_[static_cast<std::size_t>(offsets_[static_cast<std::size_t>(e.v) + 1]++)] = e.u;
+  adjacency_.resize(m * 2);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i + kAhead < m) prefetch_for_write(offsets_.data() + v_of(i + kAhead) + 1);
+    if (i + kAhead / 2 < m) {
+      const auto k = static_cast<std::size_t>(offsets_[v_of(i + kAhead / 2) + 1]);
+      if (k < adjacency_.size()) prefetch_for_write(adjacency_.data() + k);
+    }
+    adjacency_[static_cast<std::size_t>(offsets_[v_of(i) + 1]++)] = edges_[i].u;
   }
   for (const Edge& e : edges_) {
     adjacency_[static_cast<std::size_t>(offsets_[static_cast<std::size_t>(e.u) + 1]++)] = e.v;

@@ -10,7 +10,14 @@
 // the sorted list — degrees counted at both endpoints, a prefix sum, then two
 // ordered passes (first every neighbour below the node, then every neighbour
 // above it), which leaves each adjacency list sorted without any comparison
-// sort and with no scratch copy of the edges. Dynamic families that rebuild
+// sort and with no scratch copy of the edges. The degree count and the
+// below-neighbour pass write at a random node, so both prefetch a fixed
+// distance ahead; prefetches are advisory and leave every row byte-identical.
+//
+// Every snapshot path — this constructor and TopologyBuilder's rebuild,
+// rebuild_presorted and apply_delta_sorted — goes through this one fill.
+// perfbench's layer split relies on that: it prices the delta merge as
+// apply_delta_sorted minus rebuild_presorted. Dynamic families that rebuild
 // topologies every change-point should go through graph/topology.h's
 // TopologyBuilder, which recycles snapshot buffers and supports delta
 // rebuilds against the previous snapshot.

@@ -92,16 +92,17 @@ const Graph& TopologyBuilder::rebuild_presorted(std::vector<Edge> edges) {
 
 const Graph& TopologyBuilder::apply_delta_sorted(std::span<const Edge> removed,
                                                  std::span<const Edge> added) {
-#ifndef NDEBUG
+  // O(|delta|), so it runs in every build type. It precedes the merge, which
+  // trusts the order: an edge out of order or unnormalized would otherwise
+  // publish a snapshot whose edge list and CSR disagree.
   for (std::span<const Edge> delta : {removed, added}) {
     for (std::size_t i = 0; i < delta.size(); ++i) {
-      DG_ASSERT(delta[i].u >= 0 && delta[i].u < delta[i].v && delta[i].v < n_,
-                "sorted delta edges must be normalized and in range");
-      DG_ASSERT(i == 0 || edge_less(delta[i - 1], delta[i]),
-                "sorted delta edges must be strictly increasing");
+      DG_REQUIRE(delta[i].u >= 0 && delta[i].u < delta[i].v && delta[i].v < n_,
+                 "sorted delta edges must be normalized and in range");
+      DG_REQUIRE(i == 0 || edge_less(delta[i - 1], delta[i]),
+                 "sorted delta edges must be strictly increasing");
     }
   }
-#endif
   return merge_delta(removed, added);
 }
 

@@ -88,9 +88,11 @@ class TopologyBuilder {
   // DynamicNetwork::last_delta() — so one pair of vectors serves both this
   // builder and the family's delta report. Every removed edge must be
   // present and no added edge may already exist. O(m + |delta|): one linear
-  // merge and the CSR fill. A rejected delta leaves current() as it was but
-  // empties the previous snapshot, whose slot the merge had already begun to
-  // overwrite.
+  // merge and the CSR fill. A delta that is unnormalized, out of range or not
+  // strictly increasing is rejected before the merge starts, leaving both
+  // snapshots as they were. A delta that fails membership leaves current() as
+  // it was but empties the previous snapshot, whose slot the merge had
+  // already begun to overwrite.
   const Graph& apply_delta_sorted(std::span<const Edge> removed, std::span<const Edge> added);
 
  private:

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dynamic/absolute_adversary.h"
@@ -396,6 +397,103 @@ TEST(TopologyBuilder_, ApplyDeltaReusesTwoEdgeBuffers) {
     }
     expect_csr_matches_naive(topo.current());
     EXPECT_EQ(tiled_merges, lend ? 10 : 0);
+  }
+}
+
+// The delta contract is O(|delta|) and checked in every build type, before
+// the merge writes the spare slot: an unnormalized, out-of-range, repeated or
+// out-of-order delta edge raises std::invalid_argument and leaves current()
+// exactly as it was.
+TEST(TopologyBuilder_, ApplyDeltaRejectsUnsortedDeltaInRelease) {
+  Rng rng(43);
+  TopologyBuilder topo(kBlockedN);
+  topo.rebuild(straddling_edges(rng));
+  const Graph& live = topo.current();
+  const std::uint64_t version = live.version();
+  const std::vector<Edge> edges = live.edges();
+  ASSERT_FALSE(live.has_edge(4095, kIsolated[1]));
+  ASSERT_GE(edges.size(), 11U);
+
+  const std::vector<Edge> none;
+  const std::vector<Edge> unnormalized = {{kIsolated[1], 4095}};
+  const std::vector<Edge> out_of_range = {{5, kBlockedN}};
+  const std::vector<Edge> repeated = {{0, 5}, {0, 5}};
+  const std::vector<Edge> out_of_order_added = {{0, 5}, {0, 3}};
+  const std::vector<Edge> out_of_order_removed = {edges[10], edges[3]};
+  const std::pair<const std::vector<Edge>*, const std::vector<Edge>*> rejected[] = {
+      {&none, &unnormalized},       {&none, &out_of_range}, {&none, &repeated},
+      {&none, &out_of_order_added}, {&unnormalized, &none}, {&out_of_order_removed, &none},
+  };
+  for (const auto& [removed, added] : rejected) {
+    EXPECT_THROW(topo.apply_delta_sorted(*removed, *added), std::invalid_argument);
+    ASSERT_EQ(&topo.current(), &live);
+    EXPECT_EQ(topo.current().version(), version);
+    EXPECT_EQ(topo.current().edges(), edges);
+    expect_csr_matches_naive(topo.current());
+  }
+
+  // The same edges in order are accepted.
+  const std::vector<Edge> normalized = {{4095, kIsolated[1]}};
+  const Graph& next = topo.apply_delta_sorted(none, normalized);
+  EXPECT_NE(next.version(), version);
+  EXPECT_TRUE(next.has_edge(4095, kIsolated[1]));
+  expect_csr_matches_naive(next);
+}
+
+// Edge counts and shapes around the CSR fill's prefetch window (D =
+// kFillPrefetchDistance = 32 in graph.cpp): every m in [0, 80] covers 0, 1,
+// D/2 and D-1..D+1, and would for any D up to 79. The two stars stress the
+// cursor prefetch: with the hub at n-1 every below-entry lands in one row,
+// so each prefetched cursor is stale by the time its edge is written; with
+// the hub at 0 every below-entry lands in a different row and every
+// above-entry in row 0. Each edge set goes through
+// Graph(n, edges), rebuild_presorted and apply_delta_sorted.
+TEST(TopologyBuilder_, FillMatchesNaiveAroundPrefetchDistance) {
+  const auto check = [](NodeId n, const std::vector<Edge>& sorted) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " m=" << sorted.size());
+    const Graph reference(n, sorted);
+    EXPECT_EQ(reference.edges(), sorted);
+    expect_csr_matches_naive(reference);
+
+    TopologyBuilder topo(n);
+    const Graph& presorted = topo.rebuild_presorted(sorted);
+    EXPECT_EQ(presorted.edges(), sorted);
+    expect_csr_matches_naive(presorted);
+
+    // From a path on the same nodes, which shares some edges with each set.
+    std::vector<Edge> path;
+    for (NodeId u = 0; u + 1 < n; ++u) path.push_back({u, u + 1});
+    topo.rebuild_presorted(path);
+    std::vector<Edge> removed;
+    std::vector<Edge> added;
+    edge_symmetric_difference(path, sorted, removed, added);
+    const Graph& merged = topo.apply_delta_sorted(removed, added);
+    EXPECT_EQ(merged.edges(), sorted);
+    expect_csr_matches_naive(merged);
+  };
+
+  Rng rng(47);
+  constexpr NodeId kN = 40;
+  std::vector<Edge> pool;
+  while (pool.size() < 80) {
+    const auto u = static_cast<NodeId>(rng.below(kN));
+    const auto v = static_cast<NodeId>(rng.below(kN));
+    const Edge e{std::min(u, v), std::max(u, v)};
+    if (u != v && std::find(pool.begin(), pool.end(), e) == pool.end()) pool.push_back(e);
+  }
+  for (std::size_t m = 0; m <= pool.size(); ++m) {
+    std::vector<Edge> sorted(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(m));
+    std::sort(sorted.begin(), sorted.end(), edge_less);
+    check(kN, sorted);
+  }
+
+  for (const NodeId n : {2, 32, 33, 34, 100, 1000}) {
+    std::vector<Edge> hub_last;
+    std::vector<Edge> hub_first;
+    for (NodeId u = 0; u + 1 < n; ++u) hub_last.push_back({u, n - 1});
+    for (NodeId v = 1; v < n; ++v) hub_first.push_back({0, v});
+    check(n, hub_last);
+    check(n, hub_first);
   }
 }
 
