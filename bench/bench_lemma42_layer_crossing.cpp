@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
       const auto r = run_async_jump(net, h.clusters.front().front(), rng, opt);
       const bool reached =
           std::any_of(h.clusters.back().begin(), h.clusters.back().end(), [&](NodeId u) {
-            return r.informed_flags[static_cast<std::size_t>(u)] != 0;
+            return r.informed.test(static_cast<std::size_t>(u));
           });
       if (reached) ++crossed;
     }

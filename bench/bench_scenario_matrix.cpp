@@ -46,7 +46,10 @@ int main(int argc, char** argv) {
     // disconnected static draw from running to the default 10^9 limit.
     opt.time_limit = 1e5;
     opt.round_limit = 100'000;
-    opt.keep_per_trial = true;  // node count read off the first trial below
+    std::int64_t nodes = 0;  // read off the first trial's informed set
+    opt.trial_sink = [&nodes](int trial, const SpreadResult& result) {
+      if (trial == 0) nodes = static_cast<std::int64_t>(result.informed.size());
+    };
 
     // A family whose parameter constraints reject the shared scale (e.g. the
     // diligent adversary's k*Delta+5 <= n/4 at tiny --n) gets an error row
@@ -65,8 +68,6 @@ int main(int argc, char** argv) {
       const double seconds = timer.seconds();
       all_completed = all_completed && report.completed == report.trials;
 
-      const auto nodes =
-          static_cast<std::int64_t>(report.per_trial.front().informed_flags.size());
       if (json) {
         JsonWriter writer(std::cout);
         writer.begin_object()

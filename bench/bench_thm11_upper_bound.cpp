@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
         [n_clique](std::uint64_t) { return std::make_unique<CliqueBridgeNetwork>(n_clique); },
         opt);
     CliqueBridgeNetwork probe(n_clique);
-    std::vector<std::uint8_t> flags(static_cast<std::size_t>(n), 0);
+    Bitset flags(static_cast<std::size_t>(n));
     std::int64_t count = 0;
     const InformedView view(&flags, &count);
     probe.graph_at(0, view);

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
     // Estimate connectivity of the exposed graphs along one fresh trajectory.
     MobileGeometricNetwork probe(agents, radius, 0.02, 99);
-    std::vector<std::uint8_t> flags(static_cast<std::size_t>(agents), 0);
+    Bitset flags(static_cast<std::size_t>(agents));
     std::int64_t count = 0;
     const InformedView view(&flags, &count);
     int connected = 0;

@@ -17,7 +17,9 @@
 #   - an n=20000 expander cell above the 16384-node tiling threshold, so
 #     threaded runs exercise the tiled parallel rebuild/evolution paths,
 #   - an n=100000 edge-Markovian cell (m ~ 400k) above the 2^17-edge
-#     threshold of TopologyBuilder's tiled delta-merge weave.
+#     threshold of TopologyBuilder's tiled delta-merge weave,
+#   - an n=17000 mobile-geometric cell above the tiling threshold, so
+#     threaded runs exercise the tiled rebuild and the tiled cell-grid pass.
 #
 # Usage: scripts/check_fingerprints.sh path/to/rumor_cli
 #          [--threads N] [--update] [--out FILE]
@@ -69,6 +71,11 @@ topo=(--threads "$threads")
   # threaded runs take the tiled delta-merge weave, serial runs the plain one.
   "$cli" fingerprint --scenarios edge_markovian --engines async_jump \
     --sweep n=100000 --p 1.6e-5 --q 0.2 --trials 2 --seed 7 "${topo[@]}"
+  # n=17000 is above kParallelRebuildMinNodes (2^14), and 8 threads over 2
+  # trials leave each trial a team of 4: threaded runs take the tiled rate
+  # rebuild and the tiled cell-grid pass of the mobile-geometric family.
+  "$cli" fingerprint --scenarios mobile_geometric --engines async_jump \
+    --sweep n=17000 --radius 0.02 --step 0.01 --trials 2 --seed 9 "${topo[@]}"
 } > "$tmp"
 
 if [ -n "$out" ]; then cp "$tmp" "$out"; fi

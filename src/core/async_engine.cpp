@@ -105,6 +105,7 @@ SpreadResult run_async_jump(DynamicNetwork& net, NodeId source, Rng& rng,
   if (n == 1) {
     result.completed = true;
     result.informed_count = 1;
+    result.informed = ws.informed;
     return result;
   }
 
@@ -192,7 +193,7 @@ SpreadResult run_async_jump(DynamicNetwork& net, NodeId source, Rng& rng,
   }
 
   result.informed_count = state.informed_count;
-  result.informed_flags = ws.informed.to_flags();
+  result.informed = ws.informed;
   result.completed = state.informed_count == n;
   result.spread_time = result.completed ? tau : options.time_limit;
   if (options.bound_tracker != nullptr) {
@@ -222,6 +223,7 @@ SpreadResult run_async_tick(DynamicNetwork& net, NodeId source, Rng& rng,
   if (n == 1) {
     result.completed = true;
     result.informed_count = 1;
+    result.informed = ws.informed;
     return result;
   }
 
@@ -295,7 +297,7 @@ SpreadResult run_async_tick(DynamicNetwork& net, NodeId source, Rng& rng,
   }
 
   result.informed_count = state.informed_count;
-  result.informed_flags = ws.informed.to_flags();
+  result.informed = ws.informed;
   result.completed = state.informed_count == n;
   result.spread_time = result.completed ? tau : options.time_limit;
   if (options.bound_tracker != nullptr) {

@@ -1,12 +1,14 @@
 // Reusable per-worker buffers for the simulation engines.
 //
 // One trial of the jump engine needs an informed bitset and the rate model's
-// O(n) arrays (β/deg weights, rebuild staging, the block-decomposed rate
-// table, delta-path dirty marks). A workspace owns them once per worker: the
-// flat arrays are carved from a bump arena (support/arena.h) that reset()
-// rewinds instead of freeing, and the bitset/rate table reuse their vector
-// capacity across prepare() calls, so a worker that runs trial after trial of
-// the same scenario performs zero steady-state heap allocation. The runner
+// O(n) arrays (β/deg weights, the block-decomposed rate table that rebuilds
+// write in place, sparse-gather and delta-path marks). A workspace owns them
+// once per worker: the flat arrays are carved from a bump arena
+// (support/arena.h) that reset() rewinds instead of freeing, and the
+// bitset/rate table reuse their vector capacity across prepare() calls, so a
+// worker that runs trial after trial of the same scenario performs zero
+// steady-state heap allocation beyond the copy of the informed bitset each
+// SpreadResult takes (n/8 bytes). The runner
 // keeps one workspace per pool worker; an engine invoked without one falls
 // back to a stack-local workspace, which makes the plumbing optional for
 // tests and examples.

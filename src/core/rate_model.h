@@ -2,10 +2,11 @@
 // change-point tier.
 //
 // A RateModel owns everything r(v)-shaped for one trial of the jump engine:
-// the β/deg edge weights (winv), the block-decomposed rate table
-// (stats/block_rates.h), and the rebuild staging buffer. It exposes the three
-// operations the engine needs — rebuild at a change-point, O(1)-per-neighbour
-// updates when a node is informed, and sampling — and adds the *delta path*:
+// the β/deg edge weights (winv) and the block-decomposed rate table
+// (stats/block_rates.h), into whose entry array every r(v) is written in
+// place. It exposes the three operations the engine needs — rebuild at a
+// change-point, O(1)-per-neighbour updates when a node is informed, and
+// sampling — and adds the *delta path*:
 // when a dynamic family reports its change-point as a small edge delta
 // (DynamicNetwork::last_delta), the model updates only the entries the delta
 // can affect instead of re-deriving all n rates.
@@ -23,9 +24,9 @@
 //    reproduces the rebuild's values;
 //  * every entry drifted by the incremental add()/clear() updates since the
 //    last change-point is tracked in a dirty list and recomputed too, which
-//    restores the "assign()-exact" state a full rebuild would establish;
-//  * BlockRates::refresh_entries re-derives every touched block/superblock
-//    sum and the total in assign()'s exact summation order.
+//    restores the exactly-resummed state a full rebuild would establish;
+//  * BlockRates::resum_entries re-derives every touched block/superblock
+//    sum and the total in resum_all()'s exact summation order.
 //
 // tests/test_rate_model.cpp diffs the two paths bit for bit at every
 // change-point, across families and tile counts; the crossover constant below
@@ -104,7 +105,6 @@ class RateModel {
     config_ = config;
     const std::size_t nsz = static_cast<std::size_t>(n);
     winv_ = arena.make_span<double>(nsz);
-    scratch_ = arena.make_span<double>(nsz);
     dirty_mark_ = arena.make_span<std::uint8_t>(config.track_dirty ? nsz : 0);
     std::fill(dirty_mark_.begin(), dirty_mark_.end(), std::uint8_t{0});
     touch_mark_ = arena.make_span<std::uint8_t>(nsz);
@@ -159,7 +159,8 @@ class RateModel {
   }
 
   // Full rebuild of winv and every rate at a change-point: O(n) tiled phases
-  // plus a gather sized to whichever side of the cut holds less volume. When
+  // plus a gather sized to whichever side of the cut holds less volume, both
+  // writing straight into the rate table, then one tiled resum. When
   // the informed set is small, the *sparse* gather walks it once to collect
   // the uninformed nodes it touches (O(informed volume)), then runs the
   // per-node kernel on exactly those — same kernel, same bits as the full
@@ -176,15 +177,17 @@ class RateModel {
     const auto nsz = static_cast<std::size_t>(n);
     const std::int64_t tiles = (n + kRebuildTile - 1) / kRebuildTile;
     const bool sparse = informed_count * 2 <= n;
+    rates_.resize(nsz);
+    const std::span<double> rate = rates_.entries();
     parallel_for(tiles, [&](std::int64_t tile) {
       const std::size_t begin = static_cast<std::size_t>(tile) * kRebuildTile;
       const std::size_t end = std::min(begin + kRebuildTile, nsz);
       simd::fill_winv(csr.offsets, begin, end, config_.beta, winv_.data());
       if (sparse) {
         // The sparse gather only writes the touched entries; the rest of the
-        // staging must read 0. The full gather overwrites every entry.
-        std::fill(scratch_.begin() + static_cast<std::ptrdiff_t>(begin),
-                  scratch_.begin() + static_cast<std::ptrdiff_t>(end), 0.0);
+        // table must read 0. The full gather overwrites every entry.
+        std::fill(rate.begin() + static_cast<std::ptrdiff_t>(begin),
+                  rate.begin() + static_cast<std::ptrdiff_t>(end), 0.0);
       }
     });
     if (sparse) {
@@ -211,7 +214,7 @@ class RateModel {
         const std::size_t end = std::min(begin + kRebuildTile, touched_.size());
         for (std::size_t k = begin; k < end; ++k) {
           const NodeId v = touched_[k];
-          scratch_[static_cast<std::size_t>(v)] =
+          rate[static_cast<std::size_t>(v)] =
               crossing_rate(csr, informed, winv_, do_push, pull_scale, v);
         }
       });
@@ -223,17 +226,13 @@ class RateModel {
             std::min<std::int64_t>(static_cast<std::int64_t>(begin) + kRebuildTile, n));
         for (NodeId u = begin; u < end; ++u) {
           const auto uu = static_cast<std::size_t>(u);
-          scratch_[uu] = informed.test(uu)
-                             ? 0.0
-                             : crossing_rate(csr, informed, winv_, do_push, pull_scale, u);
+          rate[uu] = informed.test(uu)
+                         ? 0.0
+                         : crossing_rate(csr, informed, winv_, do_push, pull_scale, u);
         }
       });
     }
-    if (tiles > 1) {
-      rates_.assign_tiled(scratch_, parallel_for);
-    } else {
-      rates_.assign(scratch_);
-    }
+    rates_.resum_all(parallel_for);
     clear_dirty();
   }
 
@@ -293,9 +292,10 @@ class RateModel {
   }
 
   // The delta path: recompute exactly the entries the delta or the interval's
-  // incremental updates may have changed, in ascending index order, and let
-  // refresh_entries re-derive the sums. O(Σ_endpoints deg + |dirty| +
-  // Σ_candidates deg + n/4096) — independent of n except for the total resum.
+  // incremental updates may have changed, in place and in ascending index
+  // order, and let resum_entries re-derive the sums. O(Σ_endpoints deg +
+  // |dirty| + Σ_candidates deg + n/4096) — independent of n except for the
+  // total resum.
   void apply_delta(const CsrView& csr, const TopologyDelta& delta) {
     ++delta_updates_;
     const Bitset& informed = *informed_;
@@ -331,16 +331,14 @@ class RateModel {
     std::sort(candidates_.begin(), candidates_.end());
     candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
 
-    refresh_idx_.clear();
-    refresh_val_.clear();
+    const std::span<double> rate = rates_.entries();
     for (NodeId v : candidates_) {
-      refresh_idx_.push_back(static_cast<std::size_t>(v));
-      refresh_val_.push_back(informed.test(static_cast<std::size_t>(v))
-                                 ? 0.0
-                                 : crossing_rate(csr, informed, winv_, config_.do_push,
-                                                 config_.pull_scale, v));
+      const auto vv = static_cast<std::size_t>(v);
+      rate[vv] = informed.test(vv) ? 0.0
+                                   : crossing_rate(csr, informed, winv_, config_.do_push,
+                                                   config_.pull_scale, v);
     }
-    rates_.refresh_entries(refresh_idx_, refresh_val_);
+    rates_.resum_entries(std::span<const NodeId>(candidates_));
     clear_dirty();
     csr_ = csr;
   }
@@ -351,7 +349,6 @@ class RateModel {
   Config config_;
   BlockRates rates_;
   std::span<double> winv_;              // β/deg per node, arena-backed
-  std::span<double> scratch_;           // rebuild staging, arena-backed
   std::span<std::uint8_t> dirty_mark_;  // 1 = already in dirty_, arena-backed
   std::span<std::uint8_t> touch_mark_;  // 1 = already in touched_, arena-backed
   std::vector<NodeId> touched_;         // sparse-rebuild targets (cleared after use)
@@ -359,8 +356,6 @@ class RateModel {
   bool dirty_live_ = false;             // dirty set complete since the last change-point
   std::vector<NodeId> endpoints_;       // delta-path scratch
   std::vector<NodeId> candidates_;      // delta-path scratch
-  std::vector<std::size_t> refresh_idx_;
-  std::vector<double> refresh_val_;
   std::int64_t delta_updates_ = 0;
   std::int64_t full_rebuilds_ = 0;
 };

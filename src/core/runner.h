@@ -68,8 +68,8 @@ struct RunnerOptions {
 
   // Retain every trial's full SpreadResult in RunnerReport::per_trial (in
   // trial order), so drivers can stream per-trial records (JSON lines, CSV)
-  // instead of only aggregates. Off by default: the flags/trace vectors make
-  // a SpreadResult O(n) in memory. Million-node drivers should prefer
+  // instead of only aggregates. Off by default: the informed bitset and the
+  // trace make a SpreadResult O(n) in memory. Million-node drivers should prefer
   // trial_sink, which observes the same results chunk by chunk without
   // retaining them.
   bool keep_per_trial = false;

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/bitset.h"
+
 namespace rumor {
 
 struct SpreadResult {
@@ -29,8 +31,10 @@ struct SpreadResult {
   // record_trace is set.
   std::vector<std::pair<double, std::int64_t>> trace;
 
-  // Final informed indicator per node (1 = informed), always filled.
-  std::vector<std::uint8_t> informed_flags;
+  // Final informed set, one bit per node, always filled: the engine's own
+  // bitset, moved (sync, flooding) or copied out of the reused worker
+  // workspace (async engines).
+  Bitset informed;
 
   // Trajectory bound-crossing data; populated when a BoundTracker was
   // attached to the run.

@@ -1,5 +1,6 @@
 #include "core/sync_engine.h"
 
+#include <utility>
 #include <vector>
 
 #include "support/bitset.h"
@@ -27,6 +28,7 @@ SpreadResult run_sync(DynamicNetwork& net, NodeId source, Rng& rng, const SyncOp
   if (n == 1) {
     result.completed = true;
     result.informed_count = 1;
+    result.informed = std::move(informed);
     return result;
   }
 
@@ -76,7 +78,7 @@ SpreadResult run_sync(DynamicNetwork& net, NodeId source, Rng& rng, const SyncOp
   }
 
   result.informed_count = informed_count;
-  result.informed_flags = informed.to_flags();
+  result.informed = std::move(informed);
   result.completed = informed_count == n;
   result.spread_time = static_cast<double>(round);
   if (options.bound_tracker != nullptr) {
@@ -135,7 +137,7 @@ SpreadResult run_flooding(DynamicNetwork& net, NodeId source, const FloodingOpti
   }
 
   result.informed_count = informed_count;
-  result.informed_flags = informed.to_flags();
+  result.informed = std::move(informed);
   result.completed = informed_count == n;
   result.spread_time = static_cast<double>(round);
   return result;

@@ -21,7 +21,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "graph/graph.h"
 #include "graph/profile.h"
@@ -29,27 +28,18 @@
 
 namespace rumor {
 
-// Read-only view of the engine's informed set, passed to adaptive networks.
-// Backed either by the engines' flat informed bitset (the hot-path
-// representation) or by a legacy byte-flag vector (tests, analytics).
+// Read-only view of the engine's informed bitset and its population count,
+// passed to adaptive networks.
 class InformedView {
  public:
-  InformedView(const std::vector<std::uint8_t>* flags, const std::int64_t* count)
-      : flags_(flags), count_(count) {}
   InformedView(const Bitset* bits, const std::int64_t* count) : bits_(bits), count_(count) {}
 
-  bool is_informed(NodeId u) const {
-    return bits_ != nullptr ? bits_->test(static_cast<std::size_t>(u))
-                            : (*flags_)[static_cast<std::size_t>(u)] != 0;
-  }
+  bool is_informed(NodeId u) const { return bits_->test(static_cast<std::size_t>(u)); }
   std::int64_t informed_count() const { return *count_; }
-  std::int64_t node_count() const {
-    return static_cast<std::int64_t>(bits_ != nullptr ? bits_->size() : flags_->size());
-  }
+  std::int64_t node_count() const { return static_cast<std::int64_t>(bits_->size()); }
 
  private:
-  const std::vector<std::uint8_t>* flags_ = nullptr;
-  const Bitset* bits_ = nullptr;
+  const Bitset* bits_;
   const std::int64_t* count_;
 };
 

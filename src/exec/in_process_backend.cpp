@@ -7,6 +7,7 @@
 
 #include "core/engine_workspace.h"
 #include "core/trial_pool.h"
+#include "support/bitset.h"
 #include "support/contracts.h"
 
 namespace rumor {
@@ -69,7 +70,8 @@ SpreadResult run_one_trial(const NetworkFactory& factory, const RunnerOptions& o
   if (tracker != nullptr && result.completed &&
       (tracker->theorem11_crossing() < 0 || tracker->theorem13_crossing() < 0)) {
     const NodeId n = net->node_count();
-    std::vector<std::uint8_t> all(static_cast<std::size_t>(n), 1);
+    Bitset all(static_cast<std::size_t>(n));
+    all.set_all();
     std::int64_t count = n;
     const InformedView done(&all, &count);
     std::int64_t t = tracker->steps();

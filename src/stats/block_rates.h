@@ -7,20 +7,24 @@
 // pays O(n² log n). Here an update is three contiguous-array adds (entry,
 // 64-entry block, 4096-entry superblock) and a running total — O(1) — while
 // sampling degrades to O(n/4096 + 128) sequential scans that the prefetcher
-// loves. Totals are maintained incrementally; assign() recomputes them
-// exactly, and the engines re-assign at every topology change, which bounds
-// floating-point drift between rebuilds. sample() clamps rounding spill-over
-// to the last positive-rate entry, mirroring FenwickTree::sample.
+// loves. Totals are maintained incrementally. At every topology change the
+// engines write the new rates straight into entries() and resum_all()
+// recomputes every sum exactly, which bounds floating-point drift between
+// rebuilds. sample() clamps rounding spill-over to the last positive-rate
+// entry, mirroring FenwickTree::sample.
 //
-// Every multi-term resum — per-block, per-superblock, and the total — runs
-// through simd::lane_sum, the lane-blocked summation kernel
-// (support/simd.h), so assign(), assign_tiled() and refresh_entries() share
-// one bit-exact summation order on every build.
+// There is one resum path: every multi-term sum — per-block, per-superblock,
+// and the total — runs through simd::lane_sum, the lane-blocked summation
+// kernel (support/simd.h), over the same whole blocks in the same order, so
+// resum_all() at any tiling and resum_entries() agree bit for bit on every
+// build.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "support/contracts.h"
@@ -30,74 +34,74 @@ namespace rumor {
 
 class BlockRates {
  public:
-  explicit BlockRates(std::size_t size = 0) { reset(size); }
+  // `size` zero rates.
+  explicit BlockRates(std::size_t size = 0) { resize(size); }
 
-  // Re-initializes to `size` zero rates.
-  void reset(std::size_t size) {
+  // Sizes the table to `size` entries for a rewrite through entries().
+  // Entries that existed keep their values and new ones read 0 (capacity is
+  // reused across trials of the same n); every sum is stale until resum_all().
+  void resize(std::size_t size) {
     n_ = size;
-    rate_.assign(size, 0.0);
-    block_.assign((size + kBlock - 1) / kBlock, 0.0);
-    super_.assign((size + kSuper - 1) / kSuper, 0.0);
-    total_ = 0.0;
+    rate_.resize(size);
+    block_.resize((size + kBlock - 1) / kBlock);
+    super_.resize((size + kSuper - 1) / kSuper);
   }
 
-  // Builds from explicit rates with exactly recomputed sums, O(n).
-  void assign(std::span<const double> rates) {
-    resize_tables(rates.size());
-    fill_tile(rates, 0, n_);
-    finish_assign();
-  }
+  // The entry array, for in-place writes. Writes bypass the sums: follow
+  // them with resum_all() or, for a listed subset, resum_entries().
+  std::span<double> entries() { return rate_; }
 
-  // Parallel assign over superblock-aligned tiles. `parallel_for(tiles, fn)`
-  // must invoke fn(tile) once for every tile in [0, tiles), in any order and
-  // on any threads (e.g. TrialPool::run). Bit-identical to assign() for any
-  // tiling: every tile copies a disjoint entry range and sums disjoint
-  // whole blocks/superblocks in index order, and the cross-superblock total
-  // is accumulated serially in index order afterwards. This keeps the
-  // adversaries' large change-point rebuilds off the critical path at scale.
+  // Re-derives every block/superblock sum and the total from the entries,
+  // O(n). `parallel_for(tiles, fn)` must invoke fn(tile) once for every tile
+  // in [0, tiles), in any order and on any threads (e.g. TrialPool::run), or
+  // serially. Bit-identical for any tiling: each superblock-aligned tile sums
+  // disjoint whole blocks/superblocks in index order, and the
+  // cross-superblock total is accumulated serially afterwards. Every entry is
+  // checked non-negative (a NaN fails too) on the way.
   template <typename ParallelFor>
-  void assign_tiled(std::span<const double> rates, ParallelFor&& parallel_for) {
-    resize_tables(rates.size());
+  void resum_all(ParallelFor&& parallel_for) {
     const std::size_t tiles = (n_ + kTile - 1) / kTile;
     parallel_for(static_cast<std::int64_t>(tiles), [&](std::int64_t tile) {
       const std::size_t begin = static_cast<std::size_t>(tile) * kTile;
-      fill_tile(rates, begin, std::min(begin + kTile, n_));
+      const std::size_t end = std::min(begin + kTile, n_);
+      for (std::size_t b = begin / kBlock; b < (end + kBlock - 1) / kBlock; ++b) {
+        resum_block(b);
+      }
+      for (std::size_t s = begin / kSuper; s < (end + kSuper - 1) / kSuper; ++s) {
+        resum_super(s);
+      }
     });
-    finish_assign();
+    finish_resum();
   }
 
-  // Point-rewrites the listed entries and re-derives every sum they touch in
-  // assign()'s exact summation order: each affected 64-entry block is resummed
-  // from its entries, each affected superblock from its blocks, and the
-  // cross-superblock total from all superblocks — every resum through the one
-  // lane-blocked kernel (simd::lane_sum) assign() itself uses. Entries not
-  // listed keep their values, so as long as `idx` covers every entry changed
-  // since the last assign()/refresh_entries() call (including ones changed
-  // through add()/clear()), the result is bit-identical to a full assign() of
-  // the updated rate vector — the invariant the engines' delta path at
+  // Re-derives the sums the listed entries feed, in resum_all()'s exact
+  // summation order: each affected 64-entry block from its entries, each
+  // affected superblock from its blocks, and the total from all superblocks.
+  // As long as `idx` covers every entry changed since the last resum
+  // (including ones changed through add()/clear()), the result is
+  // bit-identical to resum_all() — the invariant the engines' delta path at
   // change-points is built on (core/rate_model.h). `idx` must be strictly
-  // ascending; O(|idx|·64 + n/4096).
-  void refresh_entries(std::span<const std::size_t> idx, std::span<const double> vals) {
-    DG_REQUIRE(idx.size() == vals.size(), "index/value arity mismatch");
+  // ascending and in range; every entry of an affected block is checked
+  // non-negative. O(|idx|·64 + n/4096).
+  template <typename Index>
+  void resum_entries(std::span<const Index> idx) {
     for (std::size_t k = 0; k < idx.size(); ++k) {
-      DG_REQUIRE(idx[k] < n_, "rate index out of range");
-      DG_REQUIRE(vals[k] >= 0.0, "rates must be non-negative");
-      DG_REQUIRE(k == 0 || idx[k - 1] < idx[k], "refresh indices must be strictly ascending");
-      rate_[idx[k]] = vals[k];
+      const auto i = static_cast<std::size_t>(idx[k]);
+      DG_REQUIRE(i < n_, "rate index out of range");
+      DG_REQUIRE(k == 0 || static_cast<std::size_t>(idx[k - 1]) < i,
+                 "resum indices must be strictly ascending");
     }
     for (std::size_t k = 0; k < idx.size();) {
-      const std::size_t b = idx[k] / kBlock;
-      while (k < idx.size() && idx[k] / kBlock == b) ++k;  // one resum per block
-      const std::size_t lo = b * kBlock;
-      block_[b] = simd::lane_sum(rate_.data() + lo, std::min(lo + kBlock, n_) - lo);
+      const std::size_t b = static_cast<std::size_t>(idx[k]) / kBlock;
+      while (k < idx.size() && static_cast<std::size_t>(idx[k]) / kBlock == b) ++k;
+      resum_block(b);
     }
     for (std::size_t k = 0; k < idx.size();) {
-      const std::size_t s = idx[k] / kSuper;
-      while (k < idx.size() && idx[k] / kSuper == s) ++k;  // one resum per superblock
-      const std::size_t lo = s * kBlock;  // kSuper/kBlock == kBlock blocks per superblock
-      super_[s] = simd::lane_sum(block_.data() + lo, std::min(lo + kBlock, block_.size()) - lo);
+      const std::size_t s = static_cast<std::size_t>(idx[k]) / kSuper;
+      while (k < idx.size() && static_cast<std::size_t>(idx[k]) / kSuper == s) ++k;
+      resum_super(s);
     }
-    finish_assign();
+    finish_resum();
   }
 
   std::size_t size() const { return n_; }
@@ -178,48 +182,36 @@ class BlockRates {
   static constexpr std::size_t kSuper = kBlock * 64;   // entries per superblock
   static constexpr std::size_t kTile = kSuper * 4;     // entries per rebuild tile
 
-  // Sizes the SoA tables without touching entry values (vector capacity is
-  // reused across trials of the same n).
-  void resize_tables(std::size_t size) {
-    n_ = size;
-    rate_.resize(size);
-    block_.assign((size + kBlock - 1) / kBlock, 0.0);
-    super_.assign((size + kSuper - 1) / kSuper, 0.0);
-    total_ = 0.0;
+  std::size_t block_len(std::size_t b) const {
+    return std::min(b * kBlock + kBlock, n_) - b * kBlock;
   }
 
-  // Copies one entry range and sums its blocks/superblocks through the
-  // lane-blocked kernel. The copy doubles as the non-negativity check: a
-  // branch-free violation flag accumulates across the copy (!(x >= 0) also
-  // catches NaN), and only when it fires does a rescan name the offending
-  // entry. `begin` must be superblock-aligned so concurrent tiles never share
-  // a partial sum.
-  void fill_tile(std::span<const double> rates, std::size_t begin, std::size_t end) {
-    DG_ASSERT(begin % kSuper == 0, "tile start must be superblock-aligned");
+  // One block's sum through the lane-blocked kernel, after a branch-free
+  // check of its entries (!(x >= 0) also catches NaN); only when the check
+  // fires does a rescan name the offending entry.
+  void resum_block(std::size_t b) {
+    const double* entry = rate_.data() + b * kBlock;
+    const std::size_t len = block_len(b);
     bool bad = false;
-    for (std::size_t i = begin; i < end; ++i) {
-      bad |= !(rates[i] >= 0.0);
-      rate_[i] = rates[i];
-    }
+    for (std::size_t k = 0; k < len; ++k) bad |= !(entry[k] >= 0.0);
     if (bad) {
-      for (std::size_t j = begin; j < end; ++j) {
-        DG_REQUIRE(rates[j] >= 0.0, "rates must be non-negative");
+      for (std::size_t k = 0; k < len; ++k) {
+        DG_REQUIRE(entry[k] >= 0.0, "rates must be non-negative (entry " +
+                                        std::to_string(b * kBlock + k) + ")");
       }
     }
-    for (std::size_t b = begin / kBlock; b < (end + kBlock - 1) / kBlock; ++b) {
-      const std::size_t lo = b * kBlock;
-      block_[b] = simd::lane_sum(rate_.data() + lo, std::min(lo + kBlock, n_) - lo);
-    }
-    for (std::size_t s = begin / kSuper; s < (end + kSuper - 1) / kSuper; ++s) {
-      const std::size_t lo = s * kBlock;  // kSuper/kBlock == kBlock blocks per superblock
-      super_[s] = simd::lane_sum(block_.data() + lo, std::min(lo + kBlock, block_.size()) - lo);
-    }
+    block_[b] = simd::lane_sum(entry, len);
+  }
+
+  void resum_super(std::size_t s) {
+    const std::size_t lo = s * kBlock;  // kSuper/kBlock == kBlock blocks per superblock
+    super_[s] = simd::lane_sum(block_.data() + lo, std::min(lo + kBlock, block_.size()) - lo);
   }
 
   // Cross-superblock total — the same lane-blocked kernel over the superblock
   // array, identical for any tiling because it always runs over the whole
   // array after the tiles complete.
-  void finish_assign() { total_ = simd::lane_sum(super_); }
+  void finish_resum() { total_ = simd::lane_sum(super_); }
 
   std::size_t n_ = 0;
   std::vector<double> rate_;   // raw rates

@@ -1,10 +1,11 @@
 // Flat fixed-size bitset over 64-bit words.
 //
-// The engines' informed-set representation: one bit per node keeps the whole
-// set of a million-node network in 128 KB (vs 1 MB for byte flags), so the
-// membership tests on the simulation hot path stay in cache. Deliberately
-// minimal — no iteration, no dynamic growth — because the engines only ever
-// test, set, and bulk-expand at the end of a trial.
+// The one informed-set representation, from the engines' hot path to
+// SpreadResult and the InformedView handed to adaptive networks: one bit per
+// node keeps the whole set of a million-node network in 128 KB (vs 1 MB for
+// byte flags), so the membership tests on the simulation hot path stay in
+// cache. Deliberately minimal — no iteration, no dynamic growth — because the
+// engines only ever test, set and count.
 #pragma once
 
 #include <cstddef>
@@ -64,12 +65,7 @@ class Bitset {
     return c;
   }
 
-  // Expands to one byte per bit (the legacy SpreadResult::informed_flags form).
-  std::vector<std::uint8_t> to_flags() const {
-    std::vector<std::uint8_t> flags(n_, 0);
-    for (std::size_t i = 0; i < n_; ++i) flags[i] = test(i) ? 1 : 0;
-    return flags;
-  }
+  bool operator==(const Bitset&) const = default;
 
  private:
   std::size_t n_ = 0;

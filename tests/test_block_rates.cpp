@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,17 +27,50 @@
 namespace rumor {
 namespace {
 
-TEST(BlockRates_, AssignAndTotal) {
-  BlockRates r;
-  r.assign(std::vector<double>{1.0, 2.0, 3.0});
+// Runs every tile on the calling thread, in index order.
+const auto serial = [](std::int64_t tiles, auto&& fn) {
+  for (std::int64_t t = 0; t < tiles; ++t) fn(t);
+};
+
+// Runs every tile on the calling thread, last tile first: a resum must not
+// depend on the order its tiles complete in.
+const auto reversed = [](std::int64_t tiles, auto&& fn) {
+  for (std::int64_t t = tiles; t-- > 0;) fn(t);
+};
+
+// A table holding `rates` with exactly resummed sums: the in-place write and
+// full resum a rate-model rebuild performs.
+BlockRates table_of(const std::vector<double>& rates) {
+  BlockRates table(rates.size());
+  std::copy(rates.begin(), rates.end(), table.entries().begin());
+  table.resum_all(serial);
+  return table;
+}
+
+bool bits_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+::testing::AssertionResult TablesBitIdentical(const BlockRates& a, const BlockRates& b) {
+  const double ta = a.total();
+  const double tb = b.total();
+  if (bits_equal(a.values(), b.values()) && bits_equal(a.block_sums(), b.block_sums()) &&
+      bits_equal(a.super_sums(), b.super_sums()) && std::memcmp(&ta, &tb, sizeof(double)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << "rate tables differ";
+}
+
+TEST(BlockRates_, WriteInPlaceAndResum) {
+  const BlockRates r = table_of({1.0, 2.0, 3.0});
   EXPECT_EQ(r.size(), 3u);
   EXPECT_DOUBLE_EQ(r.total(), 6.0);
   EXPECT_DOUBLE_EQ(r.value(1), 2.0);
 }
 
 TEST(BlockRates_, SampleSelectsByPrefixSum) {
-  BlockRates r;
-  r.assign(std::vector<double>{1.0, 0.0, 2.0, 3.0});
+  const BlockRates r = table_of({1.0, 0.0, 2.0, 3.0});
   EXPECT_EQ(r.sample(0.0), 0u);
   EXPECT_EQ(r.sample(0.999), 0u);
   EXPECT_EQ(r.sample(1.0), 2u);  // index 1 has zero weight and is skipped
@@ -63,7 +98,7 @@ TEST(BlockRates_, NegativeClampMatchesFenwick) {
   EXPECT_GE(r.total(), 0.0);
 }
 
-// The jump-engine workload, mirrored into a FenwickTree: random assigns,
+// The jump-engine workload, mirrored into a FenwickTree: random rewrites,
 // clears, neighbour adds, and samples must agree everywhere — across sizes
 // that cover one block, several blocks, and several superblocks.
 TEST(BlockRates_, MatchesFenwickOnRandomWorkloads) {
@@ -72,8 +107,7 @@ TEST(BlockRates_, MatchesFenwickOnRandomWorkloads) {
     std::vector<double> init(n);
     for (auto& w : init) w = rng.flip(0.3) ? 0.0 : rng.uniform() * 3.0;
 
-    BlockRates blocks;
-    blocks.assign(init);
+    BlockRates blocks = table_of(init);
     FenwickTree fenwick;
     fenwick.assign(init);
 
@@ -104,17 +138,32 @@ TEST(BlockRates_, MatchesFenwickOnRandomWorkloads) {
   }
 }
 
-// refresh_entries is the delta path's primitive: as long as every entry
-// changed since the last assign() is listed, the table must equal a fresh
-// assign() of the full rate vector bit for bit — including the block and
-// superblock sums and the total.
-TEST(BlockRates_, RefreshEntriesBitIdenticalToAssign) {
+// resum_all must not depend on how its tiles are scheduled: serial in index
+// order and last-tile-first give the same bits, across sizes that cover one
+// tile (16384 entries), several tiles, and a ragged last block.
+TEST(BlockRates_, ResumAllIdenticalForAnyTileOrder) {
+  Rng rng(77);
+  for (const std::size_t n : {1ul, 4097ul, 16384ul, 40001ul}) {
+    std::vector<double> rates(n);
+    for (double& x : rates) x = rng.flip(0.2) ? 0.0 : rng.uniform() * 3.0;
+    const BlockRates in_order = table_of(rates);
+    BlockRates out_of_order(n);
+    std::copy(rates.begin(), rates.end(), out_of_order.entries().begin());
+    out_of_order.resum_all(reversed);
+    EXPECT_TRUE(TablesBitIdentical(in_order, out_of_order)) << "n=" << n;
+  }
+}
+
+// resum_entries is the delta path's primitive: as long as every entry changed
+// since the last resum is listed, the table must equal a full resum of the
+// same entries bit for bit — including the block and superblock sums and the
+// total.
+TEST(BlockRates_, ResumEntriesBitIdenticalToResumAll) {
   Rng rng(404);
   for (const std::size_t n : {1ul, 63ul, 64ul, 4097ul, 20000ul}) {
     std::vector<double> rates(n);
     for (double& x : rates) x = rng.uniform() * 3.0;
-    BlockRates table;
-    table.assign(rates);
+    BlockRates table = table_of(rates);
 
     for (int round = 0; round < 20; ++round) {
       // Drift a random subset through add()/clear() — the interval's
@@ -142,44 +191,23 @@ TEST(BlockRates_, RefreshEntriesBitIdenticalToAssign) {
       }
       std::sort(touched.begin(), touched.end());
       touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-      std::vector<double> values;
-      values.reserve(touched.size());
-      for (const std::size_t i : touched) values.push_back(rates[i]);
-      table.refresh_entries(touched, values);
+      // The delta path rewrites every listed entry in place, then resums them.
+      for (const std::size_t i : touched) table.entries()[i] = rates[i];
+      table.resum_entries(std::span<const std::size_t>(touched));
 
-      BlockRates fresh;
-      fresh.assign(rates);
-      ASSERT_EQ(0, std::memcmp(table.values().data(), fresh.values().data(),
-                               n * sizeof(double)));
-      ASSERT_EQ(0, std::memcmp(table.block_sums().data(), fresh.block_sums().data(),
-                               table.block_sums().size() * sizeof(double)));
-      ASSERT_EQ(0, std::memcmp(table.super_sums().data(), fresh.super_sums().data(),
-                               table.super_sums().size() * sizeof(double)));
-      const double a = table.total();
-      const double b = fresh.total();
-      ASSERT_EQ(0, std::memcmp(&a, &b, sizeof(double)));
+      ASSERT_TRUE(TablesBitIdentical(table, table_of(rates))) << "n=" << n << " round=" << round;
     }
   }
 }
 
-TEST(BlockRates_, RefreshEntriesValidatesInput) {
-  BlockRates table;
-  table.assign(std::vector<double>{1.0, 2.0, 3.0});
-  const std::vector<std::size_t> unsorted = {2, 1};
-  const std::vector<double> values = {1.0, 1.0};
-  EXPECT_THROW(table.refresh_entries(unsorted, values), std::invalid_argument);
-  const std::vector<std::size_t> arity = {1};
-  EXPECT_THROW(table.refresh_entries(arity, values), std::invalid_argument);
-}
-
-// Runs `fn` and reports whether it threw std::invalid_argument naming the
-// non-negativity contract.
+// Runs `fn` and reports whether it threw std::invalid_argument whose message
+// contains `contract`.
 template <typename Fn>
-::testing::AssertionResult RejectsNegativeRate(Fn&& fn) {
+::testing::AssertionResult RejectsWith(const std::string& contract, Fn&& fn) {
   try {
     fn();
   } catch (const std::invalid_argument& e) {
-    if (std::string(e.what()).find("rates must be non-negative") != std::string::npos) {
+    if (std::string(e.what()).find(contract) != std::string::npos) {
       return ::testing::AssertionSuccess();
     }
     return ::testing::AssertionFailure() << "wrong message: " << e.what();
@@ -187,7 +215,19 @@ template <typename Fn>
   return ::testing::AssertionFailure() << "no std::invalid_argument thrown";
 }
 
-TEST(BlockRates_, AssignRejectsNegativeOrNanRate) {
+TEST(BlockRates_, ResumEntriesRejectsUnorderedOrOutOfRangeIndex) {
+  BlockRates table = table_of({1.0, 2.0, 3.0});
+  const auto resum = [&](std::vector<std::int32_t> idx) {
+    table.resum_entries(std::span<const std::int32_t>(idx));
+  };
+  EXPECT_TRUE(RejectsWith("strictly ascending", [&] { resum({2, 1}); }));
+  EXPECT_TRUE(RejectsWith("strictly ascending", [&] { resum({1, 1}); }));
+  EXPECT_TRUE(RejectsWith("out of range", [&] { resum({0, 3}); }));
+  EXPECT_TRUE(RejectsWith("out of range", [&] { resum({-1}); }));
+  EXPECT_NO_THROW(resum({0, 2}));
+}
+
+TEST(BlockRates_, ResumRejectsNegativeOrNanRate) {
   // Bad entries at an 8-aligned position, in a tail position past the last
   // whole group of 8, and past the first superblock (4096 entries).
   const struct {
@@ -198,22 +238,28 @@ TEST(BlockRates_, AssignRejectsNegativeOrNanRate) {
     for (const double bad : {-1.0, -0x1p-1074, std::nan("")}) {
       std::vector<double> rates(c.n, 1.0);
       rates[c.bad] = bad;
-      BlockRates table;
-      EXPECT_TRUE(RejectsNegativeRate([&] { table.assign(rates); }))
+      EXPECT_TRUE(RejectsWith("rates must be non-negative", [&] { table_of(rates); }))
+          << "n=" << c.n << " bad=" << c.bad << " value=" << bad;
+
+      // The same entry written in place and resummed as a listed entry.
+      BlockRates table = table_of(std::vector<double>(c.n, 1.0));
+      table.entries()[c.bad] = bad;
+      const std::vector<std::size_t> idx = {c.bad};
+      EXPECT_TRUE(RejectsWith("rates must be non-negative",
+                              [&] { table.resum_entries(std::span<const std::size_t>(idx)); }))
           << "n=" << c.n << " bad=" << c.bad << " value=" << bad;
     }
   }
-  BlockRates table;
-  EXPECT_NO_THROW(table.assign(std::vector<double>{0.0, -0.0, 1.0}));
+  EXPECT_NO_THROW(table_of({0.0, -0.0, 1.0}));
 
-  // assign_tiled checks per tile (16384 entries): index 20000 is in the second.
+  // Resums check per tile (16384 entries): index 20000 is in the second.
   std::vector<double> rates(20001, 1.0);
-  const auto serial = [](std::int64_t tiles, auto&& fn) {
-    for (std::int64_t t = 0; t < tiles; ++t) fn(t);
-  };
   for (const double bad : {-2.0, std::nan("")}) {
     rates[20000] = bad;
-    EXPECT_TRUE(RejectsNegativeRate([&] { table.assign_tiled(rates, serial); })) << bad;
+    BlockRates table(rates.size());
+    std::copy(rates.begin(), rates.end(), table.entries().begin());
+    EXPECT_TRUE(RejectsWith("rates must be non-negative", [&] { table.resum_all(reversed); }))
+        << bad;
   }
 }
 
@@ -237,18 +283,8 @@ TEST(Bitset_, SetAllKeepsTailExact) {
   Bitset b(70);
   b.set_all();
   EXPECT_EQ(b.count(), 70u);
-  const auto flags = b.to_flags();
-  ASSERT_EQ(flags.size(), 70u);
-  for (auto f : flags) EXPECT_EQ(f, 1);
-}
-
-TEST(Bitset_, ToFlagsRoundTrip) {
-  Bitset b(10);
-  b.set(2);
-  b.set(7);
-  const auto flags = b.to_flags();
-  const std::vector<std::uint8_t> expected = {0, 0, 1, 0, 0, 0, 0, 1, 0, 0};
-  EXPECT_EQ(flags, expected);
+  for (std::size_t i = 0; i < 70; ++i) EXPECT_TRUE(b.test(i)) << i;
+  EXPECT_EQ(b.words().back(), (std::uint64_t{1} << 6) - 1);
 }
 
 // Determinism contract of the batched clocks: the variate stream is exactly

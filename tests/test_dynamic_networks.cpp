@@ -21,15 +21,15 @@
 namespace rumor {
 namespace {
 
-// Helper: an informed view over explicit flags.
+// Helper: an informed view over an explicit bitset.
 struct Informed {
-  std::vector<std::uint8_t> flags;
+  Bitset flags;
   std::int64_t count = 0;
 
-  explicit Informed(NodeId n) : flags(static_cast<std::size_t>(n), 0) {}
+  explicit Informed(NodeId n) : flags(static_cast<std::size_t>(n)) {}
   void mark(NodeId u) {
-    if (flags[static_cast<std::size_t>(u)] == 0) {
-      flags[static_cast<std::size_t>(u)] = 1;
+    if (!flags.test(static_cast<std::size_t>(u))) {
+      flags.set(static_cast<std::size_t>(u));
       ++count;
     }
   }
@@ -281,7 +281,7 @@ TEST(AbsoluteAdversary, RebuildMovesInformedOutOfB) {
   const Graph& g1 = net.graph_at(1, inf.view());
   EXPECT_TRUE(is_connected(g1));
   // A fresh boundary is exposed and it is uninformed.
-  EXPECT_FALSE(inf.flags[static_cast<std::size_t>(net.current_boundary())] != 0);
+  EXPECT_FALSE(inf.flags.test(static_cast<std::size_t>(net.current_boundary())));
   // The previously informed node now sits on the A side: its degree is one of
   // the A-side degrees (4, or Δ/Δ+1 for the hub), not the B-side Δ... the
   // hub is chosen among informed nodes, so b_node may be the new hub.

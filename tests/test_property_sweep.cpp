@@ -157,10 +157,8 @@ TEST_P(PropertySweep, UniversalInvariantsHold) {
   ASSERT_FALSE(result.trace.empty());
   EXPECT_EQ(result.trace.back().second, n);
 
-  // Final flags agree with the count.
-  std::int64_t flagged = 0;
-  for (auto f : result.informed_flags) flagged += f;
-  EXPECT_EQ(flagged, n);
+  // The final informed set agrees with the count.
+  EXPECT_EQ(static_cast<std::int64_t>(result.informed.count()), n);
 }
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {

@@ -17,6 +17,7 @@
 #include "dynamic/edge_markovian.h"
 #include "dynamic/edge_sampling.h"
 #include "dynamic/mobile_geometric.h"
+#include "graph/builders.h"
 #include "graph/random_graphs.h"
 #include "stats/rng.h"
 
@@ -142,6 +143,28 @@ TEST(RateModelCrossPath, MobileGeometric) {
   }
 }
 
+// Rebuilds write every r(v) straight into the rate table, so with dirty
+// tracking off a trial's arena holds winv (8 bytes a node) and the
+// sparse-gather marks (1 byte a node) and no second copy of the rates.
+TEST(RateModelArena, HoldsOnlyWinvAndGatherMarks) {
+  const NodeId n = NodeId{1} << 20;
+  const Graph cycle = make_cycle(n);
+  Bitset informed(static_cast<std::size_t>(n));
+  informed.set(0);
+  RateModel::Config config;
+  config.track_dirty = false;
+  Arena arena;
+  RateModel model;
+  model.begin_trial(arena, informed, n, config);
+  model.rebuild(cycle.csr(), 1, [](std::int64_t tasks, auto&& fn) {
+    for (std::int64_t task = 0; task < tasks; ++task) fn(task);
+  });
+  // Node 0's two cycle neighbours each race push β/2 plus pull β/2.
+  EXPECT_EQ(model.total(), 2.0);
+  const auto nsz = static_cast<std::size_t>(n);
+  EXPECT_LE(arena.high_water(), (8 + 1) * nsz + 4096);
+}
+
 // Forwarding wrapper that hides a family's deltas, forcing the engine onto
 // the full-rebuild path at every change-point.
 class HiddenDeltaNetwork final : public DynamicNetwork {
@@ -192,7 +215,7 @@ TEST(RateModelCrossPath, JumpEngineRecordsUnchangedByDeltaPath) {
     EXPECT_EQ(with_delta.informed_count, rebuilt.informed_count);
     EXPECT_EQ(with_delta.informative_contacts, rebuilt.informative_contacts);
     EXPECT_EQ(with_delta.graph_changes, rebuilt.graph_changes);
-    EXPECT_EQ(with_delta.informed_flags, rebuilt.informed_flags);
+    EXPECT_EQ(with_delta.informed, rebuilt.informed);
   }
 }
 

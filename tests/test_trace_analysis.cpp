@@ -87,7 +87,7 @@ TEST(TraceAnalysis, RealCliqueRunGrowsExponentially) {
 TEST(Intermittent, DownStepsExposeEmptyGraph) {
   auto base = std::make_unique<StaticNetwork>(make_clique(8));
   IntermittentNetwork net(std::move(base), 3, 1);  // up on t % 3 == 0
-  std::vector<std::uint8_t> flags(8, 0);
+  Bitset flags(8);
   std::int64_t count = 0;
   const InformedView view(&flags, &count);
   EXPECT_EQ(net.graph_at(0, view).edge_count(), 28);
@@ -101,7 +101,7 @@ TEST(Intermittent, DownStepsExposeEmptyGraph) {
 TEST(Intermittent, DownProfileIsDisconnected) {
   auto base = std::make_unique<StaticNetwork>(make_clique(8));
   IntermittentNetwork net(std::move(base), 2, 1);
-  std::vector<std::uint8_t> flags(8, 0);
+  Bitset flags(8);
   std::int64_t count = 0;
   const InformedView view(&flags, &count);
   net.graph_at(1, view);
@@ -142,7 +142,7 @@ TEST(Intermittent, ValidatesParameters) {
 
 TEST(EdgeSampling, SubgraphOfBase) {
   EdgeSamplingNetwork net(make_clique(16), 0.3, 5);
-  std::vector<std::uint8_t> flags(16, 0);
+  Bitset flags(16);
   std::int64_t count = 0;
   const InformedView view(&flags, &count);
   for (int t = 0; t < 10; ++t) {
@@ -153,7 +153,7 @@ TEST(EdgeSampling, SubgraphOfBase) {
 
 TEST(EdgeSampling, DensityMatchesP) {
   EdgeSamplingNetwork net(make_clique(32), 0.25, 6);
-  std::vector<std::uint8_t> flags(32, 0);
+  Bitset flags(32);
   std::int64_t count = 0;
   const InformedView view(&flags, &count);
   double total = 0.0;
@@ -166,7 +166,7 @@ TEST(EdgeSampling, DensityMatchesP) {
 
 TEST(EdgeSampling, ResamplesEachStep) {
   EdgeSamplingNetwork net(make_clique(16), 0.5, 7);
-  std::vector<std::uint8_t> flags(16, 0);
+  Bitset flags(16);
   std::int64_t count = 0;
   const InformedView view(&flags, &count);
   const auto v0 = net.graph_at(0, view).version();
@@ -185,7 +185,7 @@ TEST(EdgeSampling, SpreadCompletesDespiteDisconnection) {
 
 TEST(EdgeSampling, POneIsTheBaseGraph) {
   EdgeSamplingNetwork net(make_clique(8), 1.0, 10);
-  std::vector<std::uint8_t> flags(8, 0);
+  Bitset flags(8);
   std::int64_t count = 0;
   const InformedView view(&flags, &count);
   EXPECT_EQ(net.graph_at(3, view).edge_count(), 28);

@@ -125,7 +125,7 @@ void expect_results_identical(const SpreadResult& a, const SpreadResult& b) {
   EXPECT_EQ(a.graph_changes, b.graph_changes);
   EXPECT_EQ(a.theorem11_crossing, b.theorem11_crossing);
   EXPECT_EQ(a.theorem13_crossing, b.theorem13_crossing);
-  EXPECT_EQ(a.informed_flags, b.informed_flags);
+  EXPECT_EQ(a.informed, b.informed);
 }
 
 // Runs one scenario at the given thread counts and requires every per-trial
