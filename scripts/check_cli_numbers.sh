@@ -4,7 +4,8 @@
 # threads, chunk) within the ranges the manifest accepts. Each negative probe,
 # and replay's --threads override, must exit 2 with an error naming the
 # option before any trial runs — never run with a prefix of the token, a
-# wrapped integer or a default of 0. The positive leg proves ordinary
+# wrapped integer or a default of 0. An empty grid axis or a nameless sweep
+# is a named error, exit 2, as well. The positive leg proves ordinary
 # spellings still parse and reach the manifest unchanged.
 #
 # Usage: scripts/check_cli_numbers.sh path/to/rumor_cli
@@ -45,6 +46,27 @@ for probe in "${probes[@]}"; do
     || { cat "$err" >&2; fail "error for ${args[*]} does not say: $expected"; }
 done
 
+# --- negative: a grid axis that lists no names, or a sweep that names no -----
+# parameter, is a named error too: it once ran zero cells, or the default cell
+# once per value, and exited 0.
+grid_probes=(
+  "--engines ,|'--engines'"
+  "--sweep =16,32|'--sweep'"
+)
+for probe in "${grid_probes[@]}"; do
+  read -r -a args <<< "${probe%%|*}"
+  expected=${probe#*|}
+  if out=$("$cli" sweep --scenario dynamic_star --trials 2 "${args[@]}" 2> "$err"); then
+    fail "rumor_cli sweep accepted ${args[*]}"
+  else
+    status=$?
+  fi
+  [ "$status" -eq 2 ] || { cat "$err" >&2; fail "sweep ${args[*]} exited $status, not 2"; }
+  [ -z "$out" ] || fail "sweep ${args[*]} wrote output before failing"
+  grep -qF -- "$expected" "$err" \
+    || { cat "$err" >&2; fail "error for sweep ${args[*]} does not name $expected"; }
+done
+
 # --- negative: replay's thread override is range-checked too ----------------
 # (4294967298 would otherwise narrow to an override of 2 threads.)
 "$cli" "${run[@]}" --trials 2 > "$rec"
@@ -65,6 +87,6 @@ for field in '"trials":3,' '"seed":18446744073709551615,' '"chunk_trials":2,' \
   grep -qF -- "$field" <<< "$summary" || fail "summary lacks $field: $summary"
 done
 
-echo "cli number grammar OK: ${#probes[@]} malformed or out-of-range run values and an" \
-     "out-of-range replay --threads rejected with named errors; valid spellings recorded" \
-     "as written"
+echo "cli number grammar OK: ${#probes[@]} malformed or out-of-range run values," \
+     "${#grid_probes[@]} empty grid options and an out-of-range replay --threads rejected" \
+     "with named errors; valid spellings recorded as written"

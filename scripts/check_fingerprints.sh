@@ -19,7 +19,9 @@
 #   - an n=100000 edge-Markovian cell (m ~ 400k) above the 2^17-edge
 #     threshold of TopologyBuilder's tiled delta-merge weave,
 #   - an n=17000 mobile-geometric cell above the tiling threshold, so
-#     threaded runs exercise the tiled rebuild and the tiled cell-grid pass.
+#     threaded runs exercise the tiled rebuild and the tiled cell-grid pass,
+#   - a bounds grid with non-default clock rate, failure and source, which
+#     pins the runner-option reading and the bound tracker's crossings.
 #
 # Usage: scripts/check_fingerprints.sh path/to/rumor_cli
 #          [--threads N] [--update] [--out FILE]
@@ -76,6 +78,11 @@ topo=(--threads "$threads")
   # rebuild and the tiled cell-grid pass of the mobile-geometric family.
   "$cli" fingerprint --scenarios mobile_geometric --engines async_jump \
     --sweep n=17000 --radius 0.02 --step 0.01 --trials 2 --seed 9 "${topo[@]}"
+  # Runner options and bound tracking: every non-default runner column a
+  # request can set reaches the records, and the tracker's crossings with it.
+  "$cli" fingerprint --scenarios dynamic_star,static_expander \
+    --engines async_jump,async_tick,sync --protocols push,pull --sweep n=64 --trials 3 \
+    --seed 11 --bounds --clock-rate 0.5 --failure 0.25 --source 1 "${topo[@]}"
 } > "$tmp"
 
 if [ -n "$out" ]; then cp "$tmp" "$out"; fi

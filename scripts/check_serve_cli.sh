@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # rumor_serve surface smoke: help text, argument validation, and the client's
 # exit-code contract against a live daemon — served requests exit 0, bad
-# requests exit 3 with a named serve_error record (and run no simulation),
-# stats/shutdown verbs work, and the daemon exits 0 after a clean shutdown.
+# requests (an empty grid axis or a nameless sweep among them) exit 3 with a
+# named serve_error record and run no simulation, stats/shutdown verbs work,
+# and the daemon exits 0 after a clean shutdown.
 # The heavier concurrent-load and cache-identity checks live in serve_load.sh.
 #
 # Usage: scripts/check_serve_cli.sh path/to/rumor_serve
@@ -79,6 +80,18 @@ out=$("$serve" client --socket "$sock" \
   '{"id":"b4","cmd":"run","scenario":"dynamic_star","threads":4}') || true
 grep -q "server's concern" <<<"$out" \
   || fail "topology rejection should name the policy"
+# An axis that lists no names, or a sweep that names no parameter: exit 3 and
+# a serve_error naming the field, never zero cells or duplicated default cells.
+for probe in \
+  "engines|{\"id\":\"e1\",\"cmd\":\"sweep\",\"scenario\":\"dynamic_star\",\"engines\":\",\",\"trials\":2}" \
+  "sweep|{\"id\":\"e2\",\"cmd\":\"sweep\",\"scenario\":\"dynamic_star\",\"sweep\":\"=16,32\",\"trials\":2}"; do
+  field=${probe%%|*}
+  rc=0
+  out=$("$serve" client --socket "$sock" "${probe#*|}") || rc=$?
+  [ "$rc" -eq 3 ] || fail "empty '$field' should exit 3 (got $rc)"
+  grep -q '"record":"serve_error"' <<<"$out" || fail "no serve_error for empty '$field'"
+  grep -qF "'$field'" <<<"$out" || fail "serve_error does not name '$field'"
+done
 
 stats=$("$serve" client --socket "$sock" '{"id":"s","cmd":"stats"}') \
   || fail "stats should exit 0"

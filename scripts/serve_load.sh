@@ -10,7 +10,8 @@
 # included — the cache serves the recorded bytes verbatim), the body replays
 # through `rumor_cli replay`, and — after stripping wall-clock/RSS telemetry,
 # the only legitimately varying fields — it is byte-identical to a direct
-# `rumor_cli run --json` of the same cell. Phase 3 fills a --jobs 1 --queue 0
+# `rumor_cli run --json` of the same cell; a served fingerprint grid equals
+# `rumor_cli fingerprint` with the same options, line for line. Phase 3 fills a --jobs 1 --queue 0
 # daemon with a slow job (confirmed running via the stats verb, so there is
 # no race) and requires the next simulating request to be rejected with a
 # loud serve_reject record, exit code 4. Both daemons must shut down cleanly:
@@ -136,6 +137,20 @@ check_cell() {  # $1 = request, $2 = matching rumor_cli args (empty = skip)
 check_cell "$req_a" --scenario dynamic_star --n 48 --trials 5 --seed 2
 check_cell "$req_b" --scenario static_clique --n 32 --engine sync --trials 4 --seed 7
 check_cell "$req_d" --scenario dynamic_star --n 32 --trials 3 --seed 4 --bounds
+
+# Both front ends read one request grammar: a fingerprint grid served by the
+# daemon lists the same cells, in the same order, with the same fingerprints
+# as rumor_cli fingerprint given the same options.
+"$serve" client --socket "$sock" '{"id":"x","cmd":"fingerprint",'\
+'"scenarios":"dynamic_star,static_clique","engines":"async_jump,sync",'\
+'"sweep":"n=16,32","trials":2,"seed":3}' | grep '"record":"fingerprint"' > "$work/fp_served" \
+  || fail "fingerprint grid request failed"
+"$cli" fingerprint --scenarios dynamic_star,static_clique --engines async_jump,sync \
+  --sweep n=16,32 --trials 2 --seed 3 > "$work/fp_direct"
+[ "$(wc -l < "$work/fp_direct")" -eq 8 ] || fail "rumor_cli fingerprint did not list 8 cells"
+cmp -s "$work/fp_served" "$work/fp_direct" \
+  || { diff "$work/fp_served" "$work/fp_direct" >&2 || true
+       fail "served fingerprint grid differs from rumor_cli fingerprint"; }
 stop_daemon
 
 # ---- phase 3: admission control rejects, loudly ----------------------------

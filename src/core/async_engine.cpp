@@ -112,7 +112,6 @@ SpreadResult run_async_jump(DynamicNetwork& net, NodeId source, Rng& rng,
   std::int64_t t_step = 0;
   const Graph* graph = &net.graph_at(0, view);
   std::uint64_t version = graph->version();
-  if (options.bound_tracker != nullptr) options.bound_tracker->on_step(net.current_profile());
 
   // Lossy contacts thin every informing Poisson stream by (1 - p): exact.
   const double beta = options.clock_rate * (1.0 - options.transmission_failure_prob);
@@ -189,19 +188,12 @@ SpreadResult run_async_jump(DynamicNetwork& net, NodeId source, Rng& rng,
       ++result.graph_changes;
       model.on_change(graph->csr(), net.last_delta(), state.informed_count, parallel_for);
     }
-    if (options.bound_tracker != nullptr) options.bound_tracker->on_step(net.current_profile());
   }
 
   result.informed_count = state.informed_count;
   result.informed = ws.informed;
   result.completed = state.informed_count == n;
   result.spread_time = result.completed ? tau : options.time_limit;
-  if (options.bound_tracker != nullptr) {
-    result.theorem11_crossing = options.bound_tracker->theorem11_crossing();
-    result.theorem13_crossing = options.bound_tracker->theorem13_crossing();
-    result.phi_rho_sum = options.bound_tracker->phi_rho_sum();
-    result.abs_rho_sum = options.bound_tracker->abs_sum();
-  }
   return result;
 }
 
@@ -231,7 +223,6 @@ SpreadResult run_async_tick(DynamicNetwork& net, NodeId source, Rng& rng,
   const Graph* graph = &net.graph_at(0, view);
   std::uint64_t version = graph->version();
   CsrView csr = graph->csr();
-  if (options.bound_tracker != nullptr) options.bound_tracker->on_step(net.current_profile());
 
   // The tick engine keeps no rate structures, but the family's own per-step
   // evolution still profits from the surplus-thread pool.
@@ -266,8 +257,6 @@ SpreadResult run_async_tick(DynamicNetwork& net, NodeId source, Rng& rng,
         csr = graph->csr();
         ++result.graph_changes;
       }
-      if (options.bound_tracker != nullptr)
-        options.bound_tracker->on_step(net.current_profile());
     }
     tau = next_tick;
     if (tau >= options.time_limit) break;
@@ -300,12 +289,6 @@ SpreadResult run_async_tick(DynamicNetwork& net, NodeId source, Rng& rng,
   result.informed = ws.informed;
   result.completed = state.informed_count == n;
   result.spread_time = result.completed ? tau : options.time_limit;
-  if (options.bound_tracker != nullptr) {
-    result.theorem11_crossing = options.bound_tracker->theorem11_crossing();
-    result.theorem13_crossing = options.bound_tracker->theorem13_crossing();
-    result.phi_rho_sum = options.bound_tracker->phi_rho_sum();
-    result.abs_rho_sum = options.bound_tracker->abs_sum();
-  }
   return result;
 }
 

@@ -28,8 +28,8 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "bounds/theorem_bounds.h"
 #include "core/protocol.h"
 #include "core/spread_result.h"
 #include "dynamic/dynamic_network.h"
@@ -44,7 +44,6 @@ struct AsyncOptions {
   double clock_rate = 1.0;    // β: each node's Poisson tick rate
   double time_limit = 1e9;    // hard stop in continuous time
   bool record_trace = false;  // fill SpreadResult::trace
-  BoundTracker* bound_tracker = nullptr;  // optional per-step bound tracking
 
   // Additional nodes informed at time 0 alongside the source (e.g. Lemma 4.2
   // assumes every node of the cluster S_0 starts informed).

@@ -36,12 +36,10 @@ struct SpreadResult {
   // workspace (async engines).
   Bitset informed;
 
-  // Trajectory bound-crossing data; populated when a BoundTracker was
-  // attached to the run.
+  // Trajectory bound-crossing steps; set by the runner when it tracks bounds
+  // (RunnerOptions::track_bounds), else -1.
   std::int64_t theorem11_crossing = -1;
   std::int64_t theorem13_crossing = -1;
-  double phi_rho_sum = 0.0;
-  double abs_rho_sum = 0.0;
 };
 
 }  // namespace rumor

@@ -47,7 +47,6 @@ SpreadResult run_sync(DynamicNetwork& net, NodeId source, Rng& rng, const SyncOp
       version = g.version();
     }
     const CsrView csr = g.csr();
-    if (options.bound_tracker != nullptr) options.bound_tracker->on_step(net.current_profile());
 
     newly.clear();
     for (NodeId u = 0; u < n; ++u) {
@@ -81,12 +80,6 @@ SpreadResult run_sync(DynamicNetwork& net, NodeId source, Rng& rng, const SyncOp
   result.informed = std::move(informed);
   result.completed = informed_count == n;
   result.spread_time = static_cast<double>(round);
-  if (options.bound_tracker != nullptr) {
-    result.theorem11_crossing = options.bound_tracker->theorem11_crossing();
-    result.theorem13_crossing = options.bound_tracker->theorem13_crossing();
-    result.phi_rho_sum = options.bound_tracker->phi_rho_sum();
-    result.abs_rho_sum = options.bound_tracker->abs_sum();
-  }
   return result;
 }
 

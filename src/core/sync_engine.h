@@ -10,7 +10,6 @@
 
 #include <cstdint>
 
-#include "bounds/theorem_bounds.h"
 #include "core/protocol.h"
 #include "core/spread_result.h"
 #include "dynamic/dynamic_network.h"
@@ -22,7 +21,6 @@ struct SyncOptions {
   Protocol protocol = Protocol::push_pull;
   std::int64_t round_limit = 1'000'000'000;
   bool record_trace = false;
-  BoundTracker* bound_tracker = nullptr;
 
   // Failure injection: each contact's exchange is lost independently with
   // this probability (lossy links, [14]).

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "bounds/theorem_bounds.h"
 #include "core/engine_workspace.h"
 #include "core/trial_pool.h"
 #include "support/bitset.h"
@@ -16,6 +18,35 @@ namespace {
 
 constexpr std::uint64_t kSplitmixGolden = 0x9e3779b97f4a7c15ULL;
 
+// The network an engine runs on when bounds are tracked: every graph_at step
+// also feeds the step's profile to the tracker, so each engine, the flooding
+// baseline included, drives the tracker through the one call it already
+// makes once per integer step.
+class TrackedNetwork final : public DynamicNetwork {
+ public:
+  TrackedNetwork(DynamicNetwork& net, BoundTracker& tracker) : net_(net), tracker_(tracker) {}
+
+  NodeId node_count() const override { return net_.node_count(); }
+  const Graph& graph_at(std::int64_t t, const InformedView& informed) override {
+    const Graph& graph = net_.graph_at(t, informed);
+    tracker_.on_step(net_.current_profile());
+    return graph;
+  }
+  const Graph& current_graph() const override { return net_.current_graph(); }
+  GraphProfile current_profile() const override { return net_.current_profile(); }
+  NodeId suggested_source() const override { return net_.suggested_source(); }
+  std::string name() const override { return net_.name(); }
+  bool reports_deltas() const override { return net_.reports_deltas(); }
+  std::optional<TopologyDelta> last_delta() const override { return net_.last_delta(); }
+  void set_parallel_evolution(ParallelEvolution* evolution) override {
+    net_.set_parallel_evolution(evolution);
+  }
+
+ private:
+  DynamicNetwork& net_;
+  BoundTracker& tracker_;
+};
+
 // Executes one trial end to end (engine run + bound-crossing continuation).
 SpreadResult run_one_trial(const NetworkFactory& factory, const RunnerOptions& options,
                            std::uint64_t net_seed, std::uint64_t engine_seed,
@@ -26,10 +57,13 @@ SpreadResult run_one_trial(const NetworkFactory& factory, const RunnerOptions& o
 
   const NodeId source = options.source >= 0 ? options.source : net->suggested_source();
 
-  std::unique_ptr<BoundTracker> tracker;
+  std::optional<BoundTracker> tracker;
+  std::optional<TrackedNetwork> tracked;
   if (options.track_bounds) {
-    tracker = std::make_unique<BoundTracker>(net->node_count(), options.bound_c);
+    tracker.emplace(net->node_count(), options.bound_c);
+    tracked.emplace(*net, *tracker);
   }
+  DynamicNetwork& run_net = tracked ? static_cast<DynamicNetwork&>(*tracked) : *net;
 
   SpreadResult result;
   switch (options.engine) {
@@ -39,27 +73,25 @@ SpreadResult run_one_trial(const NetworkFactory& factory, const RunnerOptions& o
       async.protocol = options.protocol;
       async.clock_rate = options.clock_rate;
       async.time_limit = options.time_limit;
-      async.bound_tracker = tracker.get();
       async.transmission_failure_prob = options.transmission_failure_prob;
       async.workspace = workspace;
       result = options.engine == EngineKind::async_jump
-                   ? run_async_jump(*net, source, rng, async)
-                   : run_async_tick(*net, source, rng, async);
+                   ? run_async_jump(run_net, source, rng, async)
+                   : run_async_tick(run_net, source, rng, async);
       break;
     }
     case EngineKind::sync_rounds: {
       SyncOptions sync;
       sync.protocol = options.protocol;
       sync.round_limit = options.round_limit;
-      sync.bound_tracker = tracker.get();
       sync.transmission_failure_prob = options.transmission_failure_prob;
-      result = run_sync(*net, source, rng, sync);
+      result = run_sync(run_net, source, rng, sync);
       break;
     }
     case EngineKind::flooding: {
       FloodingOptions flood;
       flood.round_limit = options.round_limit;
-      result = run_flooding(*net, source, flood);
+      result = run_flooding(run_net, source, flood);
       break;
     }
   }
@@ -67,7 +99,8 @@ SpreadResult run_one_trial(const NetworkFactory& factory, const RunnerOptions& o
   // When spreading finished before a threshold crossed, continue the
   // trajectory (everyone informed; adaptive families freeze or rotate) to
   // find where the paper's bound would have predicted completion.
-  if (tracker != nullptr && result.completed &&
+  if (!tracker) return result;
+  if (result.completed &&
       (tracker->theorem11_crossing() < 0 || tracker->theorem13_crossing() < 0)) {
     const NodeId n = net->node_count();
     Bitset all(static_cast<std::size_t>(n));
@@ -78,13 +111,12 @@ SpreadResult run_one_trial(const NetworkFactory& factory, const RunnerOptions& o
     const std::int64_t cap = t + options.bound_continuation_cap;
     while ((tracker->theorem11_crossing() < 0 || tracker->theorem13_crossing() < 0) &&
            t < cap) {
-      net->graph_at(t, done);
-      tracker->on_step(net->current_profile());
+      tracked->graph_at(t, done);
       ++t;
     }
-    result.theorem11_crossing = tracker->theorem11_crossing();
-    result.theorem13_crossing = tracker->theorem13_crossing();
   }
+  result.theorem11_crossing = tracker->theorem11_crossing();
+  result.theorem13_crossing = tracker->theorem13_crossing();
   return result;
 }
 

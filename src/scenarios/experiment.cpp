@@ -1,7 +1,10 @@
 #include "scenarios/experiment.h"
 
+#include <algorithm>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 
 #include "support/contracts.h"
@@ -38,6 +41,42 @@ void write_sample_stats(JsonWriter& json, const std::string& key, const SampleSe
       .field("median", s.median())
       .field("max", s.max())
       .end_object();
+}
+
+// The grid axes: plural (a list), singular, and the default of an absent axis
+// (nullptr: the request must name it).
+struct Axis {
+  const char* plural;
+  const char* singular;
+  const char* fallback;
+};
+constexpr Axis kAxes[] = {
+    {"scenarios", "scenario", nullptr},
+    {"engines", "engine", "async_jump"},
+    {"protocols", "protocol", "push_pull"},
+};
+
+// An option name as the request writes it...
+std::string spelled(std::string_view name, RequestSpelling spelling) {
+  std::string key(name);
+  if (spelling == RequestSpelling::flag) std::replace(key.begin(), key.end(), '_', '-');
+  return key;
+}
+
+// ...and as an error names it: a flag with its leading "--".
+std::string shown(std::string_view name, RequestSpelling spelling) {
+  const std::string key = spelled(name, spelling);
+  return spelling == RequestSpelling::flag ? std::string("--").append(key) : key;
+}
+
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> out;
+  std::stringstream ss(text);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
 }
 
 }  // namespace
@@ -96,6 +135,127 @@ std::int64_t RunnerColumn::checked(std::int64_t value) const {
   throw std::invalid_argument(std::string("field '") + name + "' is out of range [" +
                               std::to_string(min) + ", " + std::to_string(max) +
                               "]: " + std::to_string(value));
+}
+
+void read_runner_options(const RequestOptions& options, RequestSpelling spelling,
+                         RunnerOptions& opt) {
+  for_each_runner_column(opt, [&](const RunnerColumn& column, auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if (column.option == nullptr) return;
+    const auto it = options.find(spelled(column.option, spelling));
+    if (it == options.end()) return;
+    const std::string name = shown(column.option, spelling);
+    if constexpr (std::is_integral_v<T>) {
+      try {
+        field = column.read<T>(it->second);
+      } catch (const std::invalid_argument& e) {
+        if (name == column.name) throw;
+        throw std::invalid_argument(name + ": " + e.what());
+      }
+    } else if constexpr (std::is_floating_point_v<T>) {
+      field = json_scalar<T>(it->second, name);
+    }
+  });
+}
+
+RequestGrid expand_request(const RequestOptions& options, bool single_cell,
+                           RequestSpelling spelling, std::size_t max_cells) {
+  const auto find = [&](const char* name) -> const std::string* {
+    const auto it = options.find(spelled(name, spelling));
+    return it == options.end() ? nullptr : &it->second;
+  };
+  const auto quoted = [&](const char* name) {
+    return std::string("'").append(shown(name, spelling)).append("'");
+  };
+  const auto fail = [](const std::string& what) { throw std::invalid_argument(what); };
+
+  // Every option but the axes, the sweep and the runner options is a
+  // scenario parameter.
+  std::map<std::string, std::string> overrides = options;
+  overrides.erase(spelled("sweep", spelling));
+  for (const Axis& axis : kAxes) {
+    overrides.erase(spelled(axis.plural, spelling));
+    overrides.erase(spelled(axis.singular, spelling));
+  }
+  RunnerOptions runner;
+  for_each_runner_column(runner, [&](const RunnerColumn& column, const auto&) {
+    if (column.option != nullptr) overrides.erase(spelled(column.option, spelling));
+  });
+  read_runner_options(options, spelling, runner);
+
+  if (single_cell) {
+    for (const Axis& axis : kAxes) {
+      if (find(axis.plural) != nullptr) {
+        fail(quoted(axis.plural) + " is a grid option; a single cell takes " +
+             quoted(axis.singular));
+      }
+    }
+    if (find("sweep") != nullptr) {
+      fail(quoted("sweep") + " is a grid option; a single cell takes the parameter itself");
+    }
+  }
+
+  // Each axis: the plural option's list, else the singular option (itself a
+  // list unless the request is a single cell), else the axis default.
+  std::vector<std::vector<std::string>> names;
+  for (const Axis& axis : kAxes) {
+    const char* option = find(axis.plural) != nullptr ? axis.plural : axis.singular;
+    const std::string* text = find(option);
+    if (text == nullptr) {
+      if (axis.fallback == nullptr) fail("missing " + quoted(axis.singular));
+      names.push_back({axis.fallback});
+    } else if (single_cell) {
+      names.push_back({*text});
+    } else {
+      names.push_back(split_list(*text));
+      if (names.back().empty()) fail(quoted(option) + " lists no names: got '" + *text + "'");
+    }
+  }
+
+  RequestGrid grid;
+  std::vector<std::string> values = {""};
+  if (const std::string* sweep = find("sweep")) {
+    const auto eq = sweep->find('=');
+    if (eq != std::string::npos) values = split_list(sweep->substr(eq + 1));
+    if (eq == std::string::npos || eq == 0 || values.empty()) {
+      fail(quoted("sweep") + " expects name=v1,v2,... got '" + *sweep + "'");
+    }
+    grid.sweep_name = sweep->substr(0, eq);
+  }
+
+  // Counted before any cell resolves; a count past size_t saturates.
+  constexpr std::size_t kMaxCount = std::numeric_limits<std::size_t>::max();
+  std::size_t cells = 1;
+  for (const std::size_t size :
+       {names[0].size(), values.size(), names[1].size(), names[2].size()}) {
+    cells = cells > kMaxCount / size ? kMaxCount : cells * size;
+  }
+  if (cells > max_cells) {
+    fail("request expands to " + std::to_string(cells) + " cells; at most " +
+         std::to_string(max_cells) + " are admitted");
+  }
+  std::vector<EngineKind> engines;
+  for (const std::string& engine : names[1]) engines.push_back(parse_engine(engine));
+  std::vector<Protocol> protocols;
+  for (const std::string& protocol : names[2]) protocols.push_back(parse_protocol(protocol));
+
+  grid.cells.reserve(cells);
+  for (const std::string& scenario : names[0]) {
+    const ScenarioSpec& spec = require_scenario(scenario);
+    for (const std::string& value : values) {
+      ExperimentConfig config{spec.name, overrides, runner};
+      if (!grid.sweep_name.empty()) config.param_overrides[grid.sweep_name] = value;
+      const ScenarioParams params = ScenarioParams::resolve(spec, config.param_overrides);
+      for (const EngineKind engine : engines) {
+        for (const Protocol protocol : protocols) {
+          config.runner.engine = engine;
+          config.runner.protocol = protocol;
+          grid.cells.push_back({config, value, params.items()});
+        }
+      }
+    }
+  }
+  return grid;
 }
 
 void write_runner_columns(JsonWriter& json, const RunnerOptions& opt, bool identity_only) {

@@ -68,6 +68,10 @@ Protocol parse_protocol(const std::string& name);
 // to_string); an integer column accepts only values in [min, max].
 struct RunnerColumn {
   const char* name;
+  // The request option that sets the column (read_runner_options), or
+  // nullptr when a front end sets it its own way: engine and protocol are
+  // grid axes, track_bounds and bound_c are rumor_cli's `--bounds [c]`.
+  const char* option = nullptr;
   // Identity columns name the work: a manifest must carry them, and a
   // fingerprint record carries only them. A recording that predates any
   // other column replays under that column's RunnerOptions default.
@@ -80,8 +84,8 @@ struct RunnerColumn {
   std::int64_t checked(std::int64_t value) const;
 
   // A written value of this column's type T, by json_scalar's whole-token
-  // grammar; a signed integer must also lie in [min, max]. Manifests and the
-  // command line both read through it, so they accept the same values.
+  // grammar; a signed integer must also lie in [min, max]. Manifests read
+  // every column through it, requests every integer column.
   template <typename T>
   T read(std::string_view text) const {
     if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
@@ -92,35 +96,32 @@ struct RunnerColumn {
   }
 };
 
-// The `source` column, which front-ends also read under their own spelling:
-// anything outside NodeId's range is rejected, never narrowed.
-inline constexpr RunnerColumn kSourceColumn{"source", false, -1,
-                                            std::numeric_limits<NodeId>::max()};
-
 // The one list of manifest runner columns: calls visit(column, field) for
 // each recorded field of `opt` (a RunnerOptions, const or not), in written
-// order. write_manifest, parse_manifest, manifest_divergence, cache_key and
-// the fingerprint record all walk it, so a column is added here and nowhere
-// else.
+// order. write_manifest, parse_manifest, manifest_divergence, cache_key, the
+// fingerprint record and the request reader (read_runner_options) all walk
+// it, so a column and its request option are added here and nowhere else.
 template <typename Options, typename Visit>
 void for_each_runner_column(Options& opt, Visit&& visit) {
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-  visit(RunnerColumn{"engine", true}, opt.engine);
-  visit(RunnerColumn{"protocol", true}, opt.protocol);
-  visit(RunnerColumn{"trials", true, 1, 1'000'000'000}, opt.trials);
-  visit(RunnerColumn{"seed", true}, opt.seed);
+  visit(RunnerColumn{"engine", nullptr, true}, opt.engine);
+  visit(RunnerColumn{"protocol", nullptr, true}, opt.protocol);
+  visit(RunnerColumn{"trials", "trials", true, 1, 1'000'000'000}, opt.trials);
+  visit(RunnerColumn{"seed", "seed", true}, opt.seed);
   // The execution topology: reproduced on replay, though by the determinism
   // contract the per-trial records never depend on it.
-  visit(RunnerColumn{"threads", false, 1, kIntMax}, opt.threads);
-  visit(RunnerColumn{"chunk_trials", false, 0, kIntMax}, opt.chunk_trials);
-  visit(RunnerColumn{"clock_rate"}, opt.clock_rate);
-  visit(RunnerColumn{"time_limit"}, opt.time_limit);
-  visit(RunnerColumn{"round_limit"}, opt.round_limit);
+  visit(RunnerColumn{"threads", "threads", false, 1, kIntMax}, opt.threads);
+  visit(RunnerColumn{"chunk_trials", "chunk", false, 0, kIntMax}, opt.chunk_trials);
+  visit(RunnerColumn{"clock_rate", "clock_rate"}, opt.clock_rate);
+  visit(RunnerColumn{"time_limit", "time_limit"}, opt.time_limit);
+  visit(RunnerColumn{"round_limit", "round_limit"}, opt.round_limit);
   visit(RunnerColumn{"track_bounds"}, opt.track_bounds);
   visit(RunnerColumn{"bound_c"}, opt.bound_c);
-  visit(RunnerColumn{"bound_continuation_cap"}, opt.bound_continuation_cap);
-  visit(RunnerColumn{"transmission_failure_prob"}, opt.transmission_failure_prob);
-  visit(kSourceColumn, opt.source);
+  visit(RunnerColumn{"bound_continuation_cap", "bound_cap"}, opt.bound_continuation_cap);
+  visit(RunnerColumn{"transmission_failure_prob", "failure"}, opt.transmission_failure_prob);
+  // Anything outside NodeId's range is rejected, never narrowed.
+  visit(RunnerColumn{"source", "source", false, -1, std::numeric_limits<NodeId>::max()},
+        opt.source);
 }
 
 // Writes the runner columns as JSON fields, in list order; only the identity
@@ -132,6 +133,53 @@ void write_runner_columns(JsonWriter& json, const RunnerOptions& opt, bool ident
 // manifest_divergence compares and cache_key hashes.
 std::vector<std::pair<std::string_view, std::string>> runner_column_spellings(
     const RunnerOptions& opt);
+
+// --- Requests: the grid grammar of rumor_cli and rumor_serve ----------------
+//
+// A request names its options: the grid axes (scenario/scenarios,
+// engine/engines, protocol/protocols, sweep=name=v1,v2,...), the runner
+// columns' options (RunnerColumn::option), and scenario parameters — every
+// other name. It expands to cells in scenario x swept value x engine x
+// protocol order.
+
+// How a front end writes an option name: rumor_serve's JSON fields as named
+// (clock_rate), rumor_cli's flags with '-' for '_' (--clock-rate). Errors
+// name an option as its front end writes it.
+enum class RequestSpelling { field, flag };
+
+// A request's options: name as the front end writes it (without a flag's
+// leading "--") to the value's text.
+using RequestOptions = std::map<std::string, std::string>;
+
+// Sets every runner column of `opt` whose option `options` names. Integer
+// columns read as the manifest reads them (RunnerColumn::read: the column's
+// range, errors naming the column); other columns read as JSON scalars named
+// by the option. Throws std::invalid_argument on a value that does not read.
+void read_runner_options(const RequestOptions& options, RequestSpelling spelling,
+                         RunnerOptions& opt);
+
+// One cell of an expanded request.
+struct RequestCell {
+  ExperimentConfig config;  // the scenario's registry name; runner options read
+  std::string swept_value;  // "" when no parameter is swept
+  std::vector<std::pair<std::string, std::string>> params;  // resolved, schema order
+};
+
+struct RequestGrid {
+  std::string sweep_name;          // "" when no parameter is swept
+  std::vector<RequestCell> cells;  // scenario x swept value x engine x protocol
+};
+
+// Expands a request into its cells, resolving every cell's parameters and
+// parsing every engine and protocol before returning, so a bad late cell
+// rejects the whole request before any trial runs. A single-cell request
+// (rumor_cli run, rumor_serve run/bounds) takes one name per singular axis
+// and no plural axis or sweep. Throws std::invalid_argument naming the
+// option: a missing scenario, an axis that lists no names, a sweep without a
+// name or values, more than `max_cells` cells, a value that does not read.
+RequestGrid expand_request(const RequestOptions& options, bool single_cell,
+                           RequestSpelling spelling,
+                           std::size_t max_cells = std::numeric_limits<std::size_t>::max());
 
 // --- Output rendering -------------------------------------------------------
 

@@ -7,17 +7,19 @@
 //    "trials":5,"seed":1}
 //
 // `cmd` selects the verb (run | bounds | sweep | fingerprint | stats |
-// shutdown); grid axes and runner options use the rumor_cli spellings
-// (scenarios, engines, protocols, sweep=name=v1,v2, trials, seed, failure,
-// track_bounds, bound_c, bound_cap, clock_rate, time_limit, round_limit,
-// source); every other field is a scenario parameter override. Values may be
-// JSON numbers or strings — both arrive as the same spelling. Execution
-// topology (threads, chunk, build, and the legacy multi-process fields
-// shards, worker_cmd and backend) is the server's concern and is rejected by
-// name: admitting it would let clients fragment the manifest-keyed cache with
-// placement noise the records provably do not depend on. docs/SERVICE.md is
-// the schema reference; the full field-by-field contract is asserted by
-// tests/test_serve.cpp.
+// shutdown). The grid axes and runner options are the request grammar
+// rumor_cli reads too (expand_request in scenarios/experiment.h): scenario(s),
+// engine(s), protocol(s), sweep=name=v1,v2, and each runner column's option
+// (trials, seed, clock_rate, time_limit, round_limit, source, failure,
+// bound_cap). track_bounds and bound_c are this protocol's spelling of
+// rumor_cli's --bounds [c]; every other field is a scenario parameter
+// override. Values may be JSON numbers or strings — both arrive as the same
+// spelling. Execution topology (threads, chunk, build, and the legacy
+// multi-process fields shards, worker_cmd and backend) is the server's
+// concern and is rejected by name: admitting it would let clients fragment
+// the manifest-keyed cache with placement noise the records provably do not
+// depend on. docs/SERVICE.md is the schema reference; the full
+// field-by-field contract is asserted by tests/test_serve.cpp.
 //
 // Resolution is the same trust boundary replay uses: each cell's raw values
 // are resolved against the scenario schema (ScenarioParams::resolve), spelled
@@ -66,9 +68,10 @@ struct ResolvedCell {
   std::string label;  // "scenario engine protocol [sweep=v]" for messages
 };
 
-// Expands the request's grid (scenario x engine x protocol x swept value)
-// and resolves every cell as described above, normalizing the execution
-// topology to `limits`. `bounds` requests force track_bounds on. Throws
+// Expands the request's grid (expand_request: scenario x swept value x
+// engine x protocol) and resolves every cell as described above, normalizing
+// the execution topology to `limits`. `bounds` requests force track_bounds
+// on. Throws
 // std::invalid_argument naming the offending field or cell on any invalid
 // request; a valid return means every cell is runnable and cache-keyed.
 std::vector<ResolvedCell> resolve_request_cells(const ServeRequest& request,

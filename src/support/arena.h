@@ -49,8 +49,10 @@ class Arena {
       std::size_t size = next_chunk_bytes_;
       while (size < bytes) size *= 2;
       next_chunk_bytes_ = size * 2;
+      // Default-initialized: a chunk's pages stay untouched (and, for a
+      // large one, unmapped) until a span is written.
       chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(next),
-                     Chunk{std::make_unique<std::byte[]>(size), size});
+                     Chunk{std::make_unique_for_overwrite<std::byte[]>(size), size});
     }
     chunk_ = next;
     used_in_chunk_ = 0;

@@ -3,6 +3,13 @@
 
 #include <cstdint>
 
+#ifdef __linux__
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <vector>
+#endif
+
 #include "support/arena.h"
 
 namespace rumor {
@@ -81,6 +88,27 @@ TEST(Arena, ZeroSizeSpanIsValid) {
   const auto empty = arena.make_span<double>(0);
   EXPECT_EQ(empty.size(), 0u);
 }
+
+#ifdef __linux__
+TEST(Arena, ReservedChunksStayUntouchedUntilWritten) {
+  // A 64 MiB chunk is above any malloc mmap threshold, so it arrives as fresh
+  // zero pages that become resident only when written. A chunk the arena
+  // filled itself would be resident in full before any span is used.
+  constexpr std::size_t kBytes = std::size_t{64} << 20;
+  Arena arena;
+  const auto span = arena.make_span<std::byte>(kBytes);
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const std::uintptr_t begin =
+      (reinterpret_cast<std::uintptr_t>(span.data()) + page - 1) & ~(page - 1);
+  const std::uintptr_t end = (reinterpret_cast<std::uintptr_t>(span.data()) + kBytes) & ~(page - 1);
+  std::vector<unsigned char> resident((end - begin) / page);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(begin), end - begin, resident.data()), 0);
+  std::size_t touched = 0;
+  for (const unsigned char flags : resident) touched += flags & 1u;
+  EXPECT_LE(touched, resident.size() / 100) << touched << " of " << resident.size()
+                                            << " pages resident before any write";
+}
+#endif
 
 TEST(Arena, RejectsBadAlignment) {
   Arena arena;

@@ -1,6 +1,9 @@
 // Tests for the multi-trial runner.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "bounds/constants.h"
 #include "core/runner.h"
 #include "dynamic/dynamic_star.h"
 #include "dynamic/simple_networks.h"
@@ -101,6 +104,26 @@ TEST(Runner, BoundTrackingProducesCrossings) {
   const double t11_expected = std::ceil(theorem11_threshold(n, 1.0)) - 1.0;
   EXPECT_NEAR(report.theorem11_crossing.mean(), t11_expected, 1.0);
   EXPECT_DOUBLE_EQ(report.theorem13_crossing.mean(), 2.0 * n - 1.0);
+}
+
+TEST(Runner, BoundTrackingFollowsEveryEngine) {
+  // The runner feeds the tracker from the network each engine steps, so the
+  // flooding baseline tracks too, and its continuation resumes at the step
+  // the run stopped at instead of rewinding the network to t = 0.
+  const NodeId n = 13;
+  for (const EngineKind engine : {EngineKind::async_jump, EngineKind::async_tick,
+                                  EngineKind::sync_rounds, EngineKind::flooding}) {
+    RunnerOptions opt;
+    opt.engine = engine;
+    opt.trials = 2;
+    opt.track_bounds = true;
+    const auto report = run_trials(
+        [](std::uint64_t seed) { return std::make_unique<DynamicStarNetwork>(12, seed); }, opt);
+    EXPECT_EQ(report.completed, 2) << to_string(engine);
+    ASSERT_EQ(report.theorem11_crossing.count(), 2u) << to_string(engine);
+    EXPECT_GE(report.theorem11_crossing.min(), 0.0) << to_string(engine);
+    EXPECT_DOUBLE_EQ(report.theorem13_crossing.mean(), 2.0 * n - 1.0) << to_string(engine);
+  }
 }
 
 TEST(Runner, IncompleteRunsCounted) {

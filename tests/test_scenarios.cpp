@@ -4,9 +4,13 @@
 // produces exactly the statistics of a direct run_trials call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "scenarios/experiment.h"
 #include "scenarios/registry.h"
@@ -217,6 +221,83 @@ TEST(Experiment, CsvEmitsOneRowPerTrial) {
   std::size_t lines = 0;
   for (char c : os.str()) lines += c == '\n' ? 1u : 0u;
   EXPECT_EQ(lines, 5u);  // header + 4 trials
+}
+
+// --- expand_request: the request grammar both front ends read -------------
+
+// The message of the std::invalid_argument `fn` throws ("" when none).
+template <typename Fn>
+std::string rejection(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RequestGrammar, ExpandsTheGridInScenarioValueEngineProtocolOrder) {
+  const RequestGrid grid = expand_request(
+      {{"scenarios", "static_clique,dynamic_star"}, {"engines", "async_jump,sync"},
+       {"sweep", "n=16,32"}, {"clock-rate", "0.5"}},
+      /*single_cell=*/false, RequestSpelling::flag);
+  ASSERT_EQ(grid.cells.size(), 8u);
+  EXPECT_EQ(grid.sweep_name, "n");
+  std::vector<std::string> order;
+  for (const RequestCell& cell : grid.cells) {
+    order.push_back(cell.config.scenario + " " + cell.swept_value + " " +
+                    to_string(cell.config.runner.engine));
+    EXPECT_EQ(cell.config.runner.clock_rate, 0.5);
+    EXPECT_EQ(cell.config.param_overrides.at("n"), cell.swept_value);
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "static_clique 16 async-jump", "static_clique 16 sync",
+                       "static_clique 32 async-jump", "static_clique 32 sync",
+                       "dynamic_star 16 async-jump", "dynamic_star 16 sync",
+                       "dynamic_star 32 async-jump", "dynamic_star 32 sync"}));
+}
+
+TEST(RequestGrammar, EveryOptionedRunnerColumnIsReadUnderBothSpellings) {
+  // A column with a request option is read by walking for_each_runner_column,
+  // so declaring the option there is all a new runner column needs.
+  const RunnerOptions defaults;
+  const auto spellings = runner_column_spellings(defaults);
+  for_each_runner_column(defaults, [&](const RunnerColumn& column, const auto&) {
+    if (column.option == nullptr) return;
+    for (const RequestSpelling spelling : {RequestSpelling::field, RequestSpelling::flag}) {
+      std::string name = column.option;
+      if (spelling == RequestSpelling::flag) std::replace(name.begin(), name.end(), '_', '-');
+      RunnerOptions read;
+      read_runner_options({{name, "2"}}, spelling, read);
+      const auto changed = runner_column_spellings(read);
+      for (std::size_t i = 0; i < spellings.size(); ++i) {
+        EXPECT_EQ(spellings[i].second != changed[i].second, spellings[i].first == column.name)
+            << "option '" << name << "' and column '" << spellings[i].first << "'";
+      }
+    }
+  });
+}
+
+TEST(RequestGrammar, NamesEmptyAxesNamelessSweepsAndGridOptionsOfOneCell) {
+  const auto expand = [](RequestOptions options, bool single_cell) {
+    options.emplace("scenario", "dynamic_star");
+    return [=] { expand_request(options, single_cell, RequestSpelling::flag); };
+  };
+  EXPECT_NE(rejection(expand({{"engines", ","}}, false)).find("'--engines'"), std::string::npos);
+  EXPECT_NE(rejection(expand({{"protocol", ""}}, false)).find("'--protocol'"),
+            std::string::npos);
+  EXPECT_NE(rejection(expand({{"sweep", "=16,32"}}, false)).find("'--sweep'"),
+            std::string::npos);
+  EXPECT_NE(rejection(expand({{"sweep", "n="}}, false)).find("'--sweep'"), std::string::npos);
+  EXPECT_NE(rejection(expand({{"engines", "sync"}}, true)).find("single cell"),
+            std::string::npos);
+  EXPECT_NE(rejection(expand({{"engine", "async_jump,sync"}}, true)).find("async_jump,sync"),
+            std::string::npos);
+  EXPECT_NE(rejection([] { expand_request({}, false, RequestSpelling::field); })
+                .find("missing 'scenario'"),
+            std::string::npos);
+  // A bad late cell rejects the whole grid.
+  EXPECT_NE(rejection(expand({{"sweep", "n=16,x"}}, false)).find("'n'"), std::string::npos);
 }
 
 }  // namespace

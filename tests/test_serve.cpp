@@ -240,6 +240,22 @@ TEST(ServeProtocol, ResolveNamesTheBadFieldOrCell) {
       {"2 cells", "at most 1"});
 }
 
+TEST(ServeProtocol, EmptyAxisAndNamelessSweepAreNamed) {
+  // An axis that lists no names would run zero cells, and a sweep that names
+  // no parameter the same default cell once per value; each is named instead.
+  const auto resolve = [](const std::string& line) {
+    return resolve_request_cells(parse_request(line), ServeLimits{});
+  };
+  expect_bad_request(
+      [&] { resolve(R"({"cmd":"sweep","scenario":"dynamic_star","engines":","})"); },
+      {"'engines'"});
+  expect_bad_request(
+      [&] { resolve(R"({"cmd":"fingerprint","scenarios":",","trials":2})"); }, {"'scenarios'"});
+  expect_bad_request(
+      [&] { resolve(R"({"cmd":"sweep","scenario":"dynamic_star","sweep":"=16,32"})"); },
+      {"'sweep'", "=16,32"});
+}
+
 TEST(ServeProtocol, GridExpansionAndNormalization) {
   ServeLimits limits;
   limits.job_threads = 3;

@@ -9,10 +9,13 @@
 //   fingerprint SHA-256 per grid cell over the canonical record stream
 //
 // Scenario parameters are passed as plain options (--n 512 --rho 0.25 ...);
-// anything not a reserved driver option is validated against the scenario's
-// schema. Every JSON summary record carries the full reproducibility
-// manifest (scenario, resolved params, engine, protocol, seed, build id), so
-// a recorded run can be replayed exactly. See docs/ARCHITECTURE.md.
+// run, sweep and fingerprint read the request grammar rumor_serve reads too
+// (expand_request, scenarios/experiment.h), so anything not a grid axis, a
+// runner option or one of this driver's output flags is validated against
+// the scenario's schema. Every JSON summary record carries the full
+// reproducibility manifest (scenario, resolved params, engine, protocol,
+// seed, build id), so a recorded run can be replayed exactly. See
+// docs/ARCHITECTURE.md.
 //
 //   $ rumor_cli run --scenario dynamic_star --n 256 --trials 30 --seed 1 --json
 //   $ rumor_cli sweep --scenarios static_clique,dynamic_star
@@ -22,16 +25,9 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
-#include <optional>
-#include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "core/trial_pool.h"
 #include "repro/fingerprint.h"
@@ -39,7 +35,6 @@
 #include "repro/replay.h"
 #include "scenarios/experiment.h"
 #include "support/cli.h"
-#include "support/contracts.h"
 #include "support/table.h"
 #include "support/timer.h"
 
@@ -50,87 +45,25 @@
 namespace rumor {
 namespace {
 
-// Driver options; everything else is treated as a scenario parameter.
-// "bound-cap" sets RunnerOptions::bound_continuation_cap (rumor_serve's
-// bound_cap).
-const std::set<std::string>& reserved_options() {
-  static const std::set<std::string> names = {
-      "scenario", "scenarios", "engine",      "engines",     "protocol", "protocols",
-      "trials",   "seed",      "threads",     "bounds",      "failure",  "clock-rate",
-      "time-limit", "round-limit", "source",  "sweep",       "json",     "csv",
-      "markdown", "help",      "progress",    "scale",       "chunk",    "bound-cap",
-      "strict-build",
-  };
-  return names;
-}
-
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
+// The request grammar's options (scenarios/experiment.h): every option but
+// the output and preset flags rumor_cli reads itself. The --scale preset sizes
+// a run for large-n sweeps: every hardware thread by default and fewer (but
+// bigger) trials. Explicit --threads/--trials always win.
+RequestOptions request_options(const Cli& cli) {
+  RequestOptions options = cli.entries();
+  for (const char* own :
+       {"json", "csv", "markdown", "help", "progress", "scale", "bounds", "strict-build"}) {
+    options.erase(own);
   }
-  return out;
-}
-
-std::map<std::string, std::string> scenario_overrides(const Cli& cli) {
-  std::map<std::string, std::string> overrides;
-  for (const auto& [name, value] : cli.entries()) {
-    if (reserved_options().count(name) == 0) overrides[name] = value;
+  if (cli.get_bool("scale", false)) {
+    // Clamped to the pool cap so the preset works on >512-thread hosts too.
+    const int hw = std::min(
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency())),
+        TrialPool::kMaxThreads);
+    options.emplace("trials", "8");
+    options.emplace("threads", std::to_string(hw));
   }
-  return overrides;
-}
-
-// `--flag` read as manifest column `column` reads it: that column's type and
-// range (for_each_runner_column), so no flag value is narrowed or wrapped
-// into one the manifest would then record.
-template <typename T>
-T column_option(const Cli& cli, const std::string& flag, std::string_view column, T fallback) {
-  if (!cli.has(flag)) return fallback;
-  RunnerOptions probe;
-  std::optional<T> out;
-  try {
-    for_each_runner_column(probe, [&](const RunnerColumn& c, const auto& value) {
-      if constexpr (std::is_same_v<std::decay_t<decltype(value)>, T>) {
-        if (c.name == column) out = c.read<T>(cli.get(flag, ""));
-      }
-    });
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument("--" + flag + ": " + e.what());
-  }
-  DG_ASSERT(out.has_value(), "no runner column of this type is named " + std::string(column));
-  return *out;
-}
-
-RunnerOptions runner_options(const Cli& cli) {
-  // The --scale preset sizes a run for large-n sweeps: every hardware thread
-  // by default and fewer (but bigger) trials. Explicit --threads/--trials
-  // always win.
-  const bool scale = cli.get_bool("scale", false);
-  // Clamped to the pool cap so the preset works on >512-thread hosts too.
-  const int hw = std::min(
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())),
-      TrialPool::kMaxThreads);
-  RunnerOptions opt;
-  opt.engine = parse_engine(cli.get("engine", "async_jump"));
-  opt.protocol = parse_protocol(cli.get("protocol", "push_pull"));
-  opt.trials = column_option(cli, "trials", "trials", scale ? 8 : 30);
-  opt.seed = column_option<std::uint64_t>(cli, "seed", "seed", 1);
-  opt.threads = column_option(cli, "threads", "threads", scale ? hw : 1);
-  opt.chunk_trials = column_option(cli, "chunk", "chunk_trials", 0);
-  opt.bound_continuation_cap = cli.get_int("bound-cap", opt.bound_continuation_cap);
-  opt.clock_rate = cli.get_double("clock-rate", 1.0);
-  opt.time_limit = cli.get_double("time-limit", opt.time_limit);
-  opt.round_limit = cli.get_int("round-limit", opt.round_limit);
-  opt.source = static_cast<NodeId>(kSourceColumn.checked(cli.get_int("source", -1)));
-  opt.transmission_failure_prob = cli.get_double("failure", 0.0);
-  if (cli.has("bounds")) {
-    opt.track_bounds = true;
-    // `--bounds` alone tracks with c = 1; `--bounds 2` sets the exponent.
-    if (cli.get("bounds", "true") != "true") opt.bound_c = cli.get_double("bounds", 1.0);
-  }
-  return opt;
+  return options;
 }
 
 // Per-chunk progress lines on stderr (opt-in via --progress): trials done,
@@ -221,37 +154,43 @@ int cmd_describe(const Cli& cli) {
   return 0;
 }
 
-int cmd_run(const Cli& cli) {
-  // Sweep-only options would otherwise be reserved-but-ignored here, and a
-  // plural slip (--engines for --engine) must not silently run defaults.
-  const std::pair<const char*, const char*> sweep_only[] = {
-      {"scenarios", "use --scenario NAME"},
-      {"engines", "use --engine NAME"},
-      {"protocols", "use --protocol NAME"},
-      {"sweep", "pass the parameter directly, e.g. --n 256"},
-  };
-  for (const auto& [name, hint] : sweep_only) {
-    if (cli.has(name)) {
-      std::cerr << "--" << name << " is a sweep option; for `run` " << hint
-                << " (or use `rumor_cli sweep`)\n";
-      return 2;
+// Expands the run/sweep/fingerprint request (expand_request), then applies
+// `--bounds [c]` and gives each cell its --progress label.
+RequestGrid expand_cli_request(const Cli& cli, bool single_cell) {
+  RequestGrid grid = expand_request(request_options(cli), single_cell, RequestSpelling::flag);
+  const bool bounds = cli.has("bounds");
+  // `--bounds` alone tracks with c = 1; `--bounds 2` sets the exponent.
+  const double bound_c =
+      cli.get("bounds", "true") != "true" ? cli.get_double("bounds", 1.0) : 1.0;
+  const std::string cells = std::to_string(grid.cells.size());
+  for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+    ExperimentConfig& config = grid.cells[i].config;
+    if (bounds) {
+      config.runner.track_bounds = true;
+      config.runner.bound_c = bound_c;
     }
+    std::string label = config.scenario;
+    if (!single_cell) {
+      if (!grid.sweep_name.empty()) {
+        label += " " + grid.sweep_name + "=" + grid.cells[i].swept_value;
+      }
+      label.append(" ").append(to_string(config.runner.engine));
+      label.append(" cell ").append(std::to_string(i + 1)).append("/").append(cells);
+    }
+    config.runner.progress = make_progress(cli, label);
   }
-  ExperimentConfig config;
-  config.scenario = cli.get("scenario", "");
-  config.param_overrides = scenario_overrides(cli);
-  config.runner = runner_options(cli);
-  config.runner.progress = make_progress(cli, config.scenario);
+  return grid;
+}
+
+int cmd_run(const Cli& cli) {
+  // Expanded (and so validated) up front, so a typo'd scenario, parameter or
+  // option leaves stdout empty: records stream during the run.
+  const ExperimentConfig config = expand_cli_request(cli, /*single_cell=*/true).cells[0].config;
 
   // Per-trial records stream through a sink as chunks complete instead of
   // being buffered in the report, so --json/--csv stay memory-bounded at
   // million-node scale. Record order on stdout is unchanged: trials in trial
   // order, then the summary.
-  // Validate up front so a typo'd scenario or parameter leaves stdout empty
-  // (streaming emits during the run, so validation can no longer hide behind
-  // the buffered-output path).
-  ScenarioParams::resolve(require_scenario(config.scenario), config.param_overrides);
-
   const bool json = cli.get_bool("json", false);
   const bool csv = cli.get_bool("csv", false);
   if (csv) emit_csv_header(std::cout);
@@ -265,103 +204,25 @@ int cmd_run(const Cli& cli) {
   return 0;
 }
 
-// The scenario x engine x protocol x swept-parameter grid shared by `sweep`
-// and `fingerprint`: parsed from the plural options (singular forms honoured
-// as one-element grids) and validated up front — a typo in a late cell must
-// reject the grid in milliseconds, not abort it mid-run after hours.
-struct SweepGrid {
-  std::vector<std::string> scenarios;
-  std::vector<std::string> engines;
-  std::vector<std::string> protocols;
-  std::string sweep_name;                   // "" when no parameter is swept
-  std::vector<std::string> sweep_values;    // {""} when no parameter is swept
-};
-
-std::optional<SweepGrid> parse_grid(const Cli& cli, const char* subcommand) {
-  SweepGrid grid;
-  grid.scenarios = split_list(cli.get("scenarios", cli.get("scenario", "")));
-  if (grid.scenarios.empty()) {
-    std::cerr << subcommand << " needs --scenarios a,b,... (or --scenario NAME)\n";
-    return std::nullopt;
-  }
-  grid.engines = split_list(cli.get("engines", cli.get("engine", "async_jump")));
-  grid.protocols = split_list(cli.get("protocols", cli.get("protocol", "push_pull")));
-
-  // One optional swept scenario parameter: --sweep name=v1,v2,...
-  grid.sweep_values = {""};
-  if (cli.has("sweep")) {
-    const std::string sweep = cli.get("sweep", "");
-    const auto eq = sweep.find('=');
-    if (eq == std::string::npos || split_list(sweep.substr(eq + 1)).empty()) {
-      std::cerr << "--sweep expects name=v1,v2,... got '" << sweep << "'\n";
-      return std::nullopt;
-    }
-    grid.sweep_name = sweep.substr(0, eq);
-    grid.sweep_values = split_list(sweep.substr(eq + 1));
-  }
-
-  for (const std::string& scenario : grid.scenarios) {
-    const ScenarioSpec& spec = require_scenario(scenario);
-    for (const std::string& value : grid.sweep_values) {
-      std::map<std::string, std::string> overrides = scenario_overrides(cli);
-      if (!grid.sweep_name.empty()) overrides[grid.sweep_name] = value;
-      ScenarioParams::resolve(spec, overrides);
-    }
-  }
-  for (const std::string& engine : grid.engines) parse_engine(engine);
-  for (const std::string& protocol : grid.protocols) parse_protocol(protocol);
-  return grid;
-}
-
-// Walks the grid once, in scenario x swept value x engine x protocol order,
-// calling fn(config, value) for each cell: `config` is the shared run options
-// with the cell's axes filled in and a progress label naming the cell, and
-// `value` is the cell's swept value ("" when nothing is swept).
-template <typename Fn>
-void for_each_cell(const Cli& cli, const SweepGrid& grid, Fn&& fn) {
-  const std::map<std::string, std::string> overrides = scenario_overrides(cli);
-  const RunnerOptions runner = runner_options(cli);
-  const std::size_t cells = grid.scenarios.size() * grid.sweep_values.size() *
-                            grid.engines.size() * grid.protocols.size();
-  std::size_t cell = 0;
-  for (const std::string& scenario : grid.scenarios) {
-    for (const std::string& value : grid.sweep_values) {
-      for (const std::string& engine : grid.engines) {
-        for (const std::string& protocol : grid.protocols) {
-          ++cell;
-          ExperimentConfig config{scenario, overrides, runner};
-          if (!grid.sweep_name.empty()) config.param_overrides[grid.sweep_name] = value;
-          config.runner.engine = parse_engine(engine);
-          config.runner.protocol = parse_protocol(protocol);
-          std::string label = scenario;
-          if (!grid.sweep_name.empty()) label += " " + grid.sweep_name + "=" + value;
-          label += " " + engine + " cell " + std::to_string(cell) + "/" +
-                   std::to_string(cells);
-          config.runner.progress = make_progress(cli, label);
-          fn(config, value);
-        }
-      }
-    }
-  }
-}
-
+// The scenario x swept value x engine x protocol grid, one row (or one
+// summary record) per cell.
 int cmd_sweep(const Cli& cli) {
-  const std::optional<SweepGrid> grid = parse_grid(cli, "sweep");
-  if (!grid) return 2;
+  const RequestGrid grid = expand_cli_request(cli, /*single_cell=*/false);
 
   const bool json = cli.get_bool("json", false);
   const bool csv = cli.get_bool("csv", false);
   if (csv) emit_csv_header(std::cout);
-  Table table({"scenario", grid->sweep_name.empty() ? "-" : grid->sweep_name, "engine",
+  Table table({"scenario", grid.sweep_name.empty() ? "-" : grid.sweep_name, "engine",
                "protocol", "completed", "mean", "median", "max", "seconds"});
 
-  for_each_cell(cli, *grid, [&](const ExperimentConfig& config, const std::string& value) {
+  for (const RequestCell& cell : grid.cells) {
+    const ExperimentConfig& config = cell.config;
     const ExperimentResult result = run_experiment(config, make_sink(json, csv));
     if (json) {
       emit_summary_json(std::cout, result, RUMOR_BUILD_INFO);
     } else if (!csv) {
       const SampleSet& st = result.report.spread_time;
-      table.add_row({config.scenario, value.empty() ? "-" : value,
+      table.add_row({config.scenario, cell.swept_value.empty() ? "-" : cell.swept_value,
                      to_string(config.runner.engine), to_string(config.runner.protocol),
                      std::to_string(result.report.completed) + "/" +
                          std::to_string(result.report.trials),
@@ -370,7 +231,7 @@ int cmd_sweep(const Cli& cli) {
                      st.empty() ? "-" : Table::cell(st.max()),
                      Table::cell(result.elapsed_seconds)});
     }
-  });
+  }
   if (!json && !csv) table.print(std::cout);
   return 0;
 }
@@ -404,8 +265,12 @@ int cmd_replay(const Cli& cli) {
   }
   const std::vector<RecordedCell> recording = load_recording(in);
 
+  // --threads reads as the threads column does; 0 keeps the recorded count.
+  RunnerOptions topology;
+  topology.threads = 0;
+  read_runner_options(cli.entries(), RequestSpelling::flag, topology);
   ReplayOptions options;
-  options.threads_override = column_option(cli, "threads", "threads", 0);
+  options.threads_override = topology.threads;
   options.strict_build = cli.get_bool("strict-build", false);
   options.build_info = RUMOR_BUILD_INFO;
 
@@ -447,9 +312,8 @@ int cmd_fingerprint(const Cli& cli) {
     return 0;
   }
 
-  const std::optional<SweepGrid> grid = parse_grid(cli, "fingerprint");
-  if (!grid) return 2;
-  for_each_cell(cli, *grid, [](const ExperimentConfig& config, const std::string&) {
+  for (const RequestCell& cell : expand_cli_request(cli, /*single_cell=*/false).cells) {
+    const ExperimentConfig& config = cell.config;
     // Records hash as they stream — nothing is buffered, so the fingerprint
     // of a million-node cell costs O(1) memory.
     RecordHasher hasher;
@@ -464,7 +328,7 @@ int cmd_fingerprint(const Cli& cli) {
     const ExperimentResult result = run_experiment(config, sink);
     const ReproManifest manifest{config.scenario, result.params, result.runner, ""};
     emit_fingerprint_json(std::cout, manifest, hasher.finish());
-  });
+  }
   return 0;
 }
 
