@@ -13,7 +13,10 @@
 #   - static_torus x {async_jump, async_tick} (tick-engine coverage),
 #   - a dense-churn edge-Markovian cell (full rate rebuilds at change points),
 #   - a near-stationary edge-Markovian cell sized so the O(delta*deg)
-#     incremental rate path engages (candidates*32 < n, core/rate_model.h),
+#     incremental rate path engages (core/rate_model.h's delta_cheaper),
+#   - a slow-clock edge-Markovian cell (mean degree ~21, ~8 flips per
+#     change-point, ~900 change-points a trial), where the delta path runs
+#     with the informed set anywhere from one node to all but a few,
 #   - an n=20000 expander cell above the 16384-node tiling threshold, so
 #     threaded runs exercise the tiled parallel rebuild/evolution paths,
 #   - an n=100000 edge-Markovian cell (m ~ 400k) above the 2^17-edge
@@ -65,6 +68,10 @@ topo=(--threads "$threads")
   # engages and must leave the records bit-identical to a rebuild.
   "$cli" fingerprint --scenarios edge_markovian --engines async_jump \
     --sweep n=4000 --p 1e-06 --q 0.0005 --trials 2 --seed 9 "${topo[@]}"
+  # Slow clock on a denser, quieter graph: most change-points take the delta
+  # path across every cut size a spread passes through.
+  "$cli" fingerprint --scenarios edge_markovian --engines async_jump \
+    --sweep n=4000 --p 5e-7 --q 9.5e-5 --clock-rate 0.01 --trials 2 --seed 13 "${topo[@]}"
   # Above the tiling threshold with trials < threads: threaded runs split
   # surplus workers into tiled rebuild teams, which must not change bytes.
   "$cli" fingerprint --scenarios edge_sampling_expander --engines async_jump \

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# rumor_serve surface smoke: help text, argument validation, and the client's
-# exit-code contract against a live daemon — served requests exit 0, bad
+# rumor_serve surface smoke: help text, argument validation (daemon flags
+# outside their ranges among it), and the client's exit-code contract
+# against a live daemon — served requests exit 0, bad
 # requests (an empty grid axis or a nameless sweep among them) exit 3 with a
 # named serve_error record and run no simulation, stats/shutdown verbs work,
 # and the daemon exits 0 after a clean shutdown.
@@ -42,6 +43,26 @@ fail() {
 "$serve" client --socket /tmp/rumor_absent_$$.sock '{"cmd":"stats"}' 2>/dev/null \
   && fail "client with no daemon should exit non-zero" \
   || [ $? -eq 2 ] || fail "client with no daemon should exit 2"
+
+# Daemon flags read through checked ranges: a value outside a flag's range
+# exits 2 with an error naming the flag, before any socket is bound (a
+# narrowed --max-cells 4294967298 would admit 2 cells). The timeout turns a
+# daemon that starts anyway into a failure instead of a hang.
+probe_sock="/tmp/rumor_flag_$$.sock"
+for probe in "max-cells|4294967298" "jobs|0" "queue|-1" "threads|0" \
+  "max-trials|2147483648" "cache-mb|17592186044416"; do
+  flag=${probe%%|*}
+  value=${probe#*|}
+  rc=0
+  err=$(timeout 10 "$serve" serve --socket "$probe_sock" "--$flag" "$value" 2>&1 >/dev/null) \
+    || rc=$?
+  if [ -e "$probe_sock" ]; then
+    rm -f "$probe_sock"
+    fail "serve --$flag $value bound its socket"
+  fi
+  [ "$rc" -eq 2 ] || fail "serve --$flag $value should exit 2 (got $rc)"
+  grep -qF -- "--$flag" <<<"$err" || fail "serve --$flag $value error does not name the flag: $err"
+done
 
 # --- online surface: exit codes against a live daemon -----------------------
 sock="/tmp/rumor_smoke_$$.sock"
@@ -106,5 +127,5 @@ grep -q 'shut down cleanly' "$log" || fail "no clean-shutdown log"
 trap - EXIT
 rm -f "$log"
 
-echo "rumor_serve surface contract holds: usage/exit codes, named serve_error" \
-     "records, topology rejection, clean shutdown"
+echo "rumor_serve surface contract holds: usage/exit codes, flag ranges, named" \
+     "serve_error records, topology rejection, clean shutdown"

@@ -18,10 +18,20 @@
 //    (support/simd.h), which lane-blocks over the node's full adjacency list
 //    with informed-mask weights, so there is exactly one summation order to
 //    agree on;
-//  * a changed edge only affects winv of its two endpoints (β/deg is a pure
-//    function of the new degree) and r(v) of the endpoints and their
-//    current neighbours, so recomputing exactly that set through the kernel
-//    reproduces the rebuild's values;
+//  * the rate lives only on the cut. For an uninformed v the kernel adds,
+//    per neighbour w in list order, m_w·(push·winv[w] + pull·winv[v]) with
+//    m_w = 1 when w is informed and m_w = 0.0 otherwise; winv is finite, so
+//    an uninformed w contributes 0.0·s = +0.0, and adding +0.0 leaves a
+//    non-negative lane sum bitwise unchanged. r(v) therefore reads winv[w]
+//    only of informed w, its own winv[v], and its own list;
+//  * so a changed edge, which moves winv and the list of its two endpoints
+//    only, can change r(v) just for (a) an uninformed endpoint (its list or
+//    winv[v] moved) and (b) an uninformed neighbour of an informed endpoint
+//    (that endpoint's winv moved). An informed endpoint's own entry holds
+//    0.0 and stays so; an uninformed endpoint's winv feeds no neighbour's
+//    rate. Recomputing exactly (a) and (b) through the kernel reproduces the
+//    rebuild's values. A removed edge's far side is itself an endpoint, so
+//    walking the new lists of the informed endpoints finds every (b);
 //  * every entry drifted by the incremental add()/clear() updates since the
 //    last change-point is tracked in a dirty list and recomputed too, which
 //    restores the exactly-resummed state a full rebuild would establish;
@@ -29,13 +39,15 @@
 //    sum and the total in resum_all()'s exact summation order.
 //
 // tests/test_rate_model.cpp diffs the two paths bit for bit at every
-// change-point, across families and tile counts; the crossover constant below
-// is measured, not guessed (see kDeltaCostFactor).
+// change-point, across families, tile counts, cut sizes and protocols; the
+// crossover constant below is measured, not guessed (see kDeltaCostFactor).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -69,16 +81,18 @@ class RateModel {
   // (winv recompute, gather, table sums) into independent index ranges.
   static constexpr NodeId kRebuildTile = 8192;
 
-  // Crossover between the two change-point paths: the delta path is taken
-  // only while candidates·factor < n, so step-sized churn falls back to the
-  // rebuild (where bench/bench_delta_rates.cpp shows the delta path up to
-  // 170x slower). That bench (Release, n = 2^17, mean degree 8) measures the
-  // rebuild at ~5-8 ns/node and the delta path at ~20-100 ns per candidate
-  // entry, worst when deltas are small and block resums and cache misses are
-  // unshared. The factor was set from a worst ratio of ~30x; on a 4-vCPU x86
-  // VM the bench now reads ~60x and prints the factor beside it, so near that
-  // worst case the delta path can be taken where a rebuild is cheaper.
-  static constexpr std::int64_t kDeltaCostFactor = 32;
+  // Crossover between the two change-point paths, both priced in adjacency
+  // entries read (collect_candidates and rebuild_reads): the delta path is
+  // taken only while its price·factor is below the rebuild's, so step-sized
+  // churn falls back to the rebuild. bench/bench_delta_rates.cpp (Release,
+  // n = 2^17, 4-vCPU x86 VM) prices and times both paths over mean degree
+  // {8, 21} × informed {1, n/2, n − n/64} × churn q {1e-4 .. 0.5}. The delta
+  // path reads 4-17 ns and the rebuild 4-10 ns per priced read; their ratio
+  // runs 0.56-2.2 over the 30 rows (worst where a 2^17-node delta refreshes a
+  // few dozen candidates at n − n/64 informed), so 3 covers the worst with
+  // a margin. With the block resums left unpriced the ratio ran to 13 at
+  // mean degree 8, where a 64-entry block outweighs a 9-read candidate.
+  static constexpr std::int64_t kDeltaCostFactor = 3;
 
   // Change-point path choice. `automatic` is the production setting; the two
   // forced policies exist for the cross-path identity tests and for bench
@@ -114,6 +128,7 @@ class RateModel {
     dirty_live_ = config.track_dirty;
     delta_updates_ = 0;
     full_rebuilds_ = 0;
+    delta_reads_ = 0;
   }
 
   const BlockRates& rates() const { return rates_; }
@@ -125,26 +140,32 @@ class RateModel {
   // Telemetry for tests and benches: how often each change-point path ran.
   std::int64_t delta_updates() const { return delta_updates_; }
   std::int64_t full_rebuilds() const { return full_rebuilds_; }
+  // The summed price, in adjacency reads, of the delta updates that ran.
+  std::int64_t delta_reads() const { return delta_reads_; }
 
   // Change-point entry: take the delta path when the family reported one and
-  // the heuristic says it is cheaper, else run the full (possibly tiled)
-  // rebuild. `parallel_for(tasks, fn)` must invoke fn for every task index,
-  // in any order, on any threads. Both paths leave the model in the same
-  // bit-exact state. Returns true when the delta path ran.
+  // its candidates cost fewer adjacency reads than a rebuild, else run the
+  // full (possibly tiled) rebuild. `parallel_for(tasks, fn)` must invoke fn
+  // for every task index, in any order, on any threads. Both paths leave the
+  // model in the same bit-exact state. Returns true when the delta path ran.
   template <typename ParallelFor>
   bool on_change(const CsrView& csr, const std::optional<TopologyDelta>& delta,
                  std::int64_t informed_count, ParallelFor&& parallel_for) {
-    const bool took_delta = delta.has_value() && dirty_live_ &&
-                            config_.policy != DeltaPolicy::never &&
-                            (config_.policy == DeltaPolicy::always || delta_cheaper(csr, *delta));
+    const std::int64_t rebuild_cost = rebuild_reads(csr, informed_count);
+    const bool took_delta =
+        delta.has_value() && dirty_live_ && config_.policy != DeltaPolicy::never &&
+        collect_candidates(csr, *delta,
+                           config_.policy == DeltaPolicy::always
+                               ? std::numeric_limits<std::int64_t>::max()
+                               : rebuild_cost);
     if (took_delta) {
-      apply_delta(csr, *delta);
+      apply_delta(csr);
     } else {
       rebuild(csr, informed_count, parallel_for);
     }
-    // Adaptive tracking: when this change-point's delta was so large the
-    // delta path could never win (≥2 candidates per changed edge already
-    // clears the cost bar), the family is in step-sized-churn territory and
+    // Adaptive tracking: when this change-point's delta was so large that
+    // refreshing its endpoints alone (2·|Δ| nodes of about mean degree)
+    // prices above a rebuild, the family is in step-sized-churn territory and
     // the next interval's dirty marks would be pure inform()-path overhead —
     // stop taking them, which forces (the equally-exact) rebuild next time.
     // Delta sizes are near-stationary for every registered family, so this
@@ -152,10 +173,26 @@ class RateModel {
     // choice never changes any value: both paths are bit-identical.
     dirty_live_ = config_.track_dirty && config_.policy != DeltaPolicy::never &&
                   (config_.policy == DeltaPolicy::always || !delta.has_value() ||
-                   2 * static_cast<std::int64_t>(delta->removed.size() + delta->added.size()) *
-                           kDeltaCostFactor <
-                       n_);
+                   endpoint_reads(csr, *delta) * kDeltaCostFactor < rebuild_cost);
     return took_delta;
+  }
+
+  // What a rebuild at this change-point would read, in the delta path's
+  // pricing unit: one per node for the O(n) phases, plus the adjacency
+  // entries its gather reads, estimated from the mean degree d. The sparse
+  // gather walks the informed lists (k·d) and runs the kernel on each
+  // uninformed node they touch (at most min(n − k, k·d) of them); the full
+  // gather runs it on every uninformed node ((n − k)·d).
+  std::int64_t rebuild_reads(const CsrView& csr, std::int64_t informed_count) const {
+    const auto n = static_cast<double>(n_);
+    const double mean_degree = n_ > 0 ? static_cast<double>(csr.offsets[n_]) / n : 0.0;
+    const auto informed = static_cast<double>(informed_count);
+    const double uninformed = n - informed;
+    const double gather =
+        informed_count * 2 <= n_
+            ? informed * mean_degree + std::min(uninformed, informed * mean_degree) * mean_degree
+            : uninformed * mean_degree;
+    return n_ + static_cast<std::int64_t>(gather);
   }
 
   // Full rebuild of winv and every rate at a change-point: O(n) tiled phases
@@ -263,21 +300,6 @@ class RateModel {
   }
 
  private:
-  bool delta_cheaper(const CsrView& csr, const TopologyDelta& delta) const {
-    // Candidate bound: both endpoints of every changed edge plus all their
-    // current neighbours, plus the dirty entries. Degrees come from the new
-    // snapshot; duplicates make this an overestimate, which only ever falls
-    // back to the (always-correct) rebuild too early.
-    std::int64_t candidates = static_cast<std::int64_t>(dirty_.size());
-    for (std::span<const Edge> part : {delta.removed, delta.added}) {
-      for (const Edge& e : part) {
-        candidates += 2 + csr.degree(e.u) + csr.degree(e.v);
-      }
-      if (candidates * kDeltaCostFactor >= n_) return false;  // early out on huge deltas
-    }
-    return candidates * kDeltaCostFactor < n_;
-  }
-
   void mark_dirty(NodeId v) {
     auto& mark = dirty_mark_[static_cast<std::size_t>(v)];
     if (mark == 0) {
@@ -291,46 +313,117 @@ class RateModel {
     dirty_.clear();
   }
 
-  // The delta path: recompute exactly the entries the delta or the interval's
-  // incremental updates may have changed, in place and in ascending index
-  // order, and let resum_entries re-derive the sums. O(Σ_endpoints deg +
-  // |dirty| + Σ_candidates deg + n/4096) — independent of n except for the
-  // total resum.
-  void apply_delta(const CsrView& csr, const TopologyDelta& delta) {
-    ++delta_updates_;
-    const Bitset& informed = *informed_;
+  // An O(1) estimate of a delta path's price from the delta's size alone: its
+  // 2·|Δ| endpoints refreshed as if all were uninformed, at 1 + mean degree
+  // reads each, plus the blocks they would re-sum.
+  std::int64_t endpoint_reads(const CsrView& csr, const TopologyDelta& delta) const {
+    if (n_ == 0) return 0;
+    const std::int64_t endpoints =
+        2 * static_cast<std::int64_t>(delta.removed.size() + delta.added.size());
+    const std::int64_t blocks = (n_ + kResumBlock - 1) / kResumBlock;
+    return endpoints * (n_ + csr.offsets[n_]) / n_ + kResumBlock * std::min(endpoints, blocks);
+  }
 
-    // Endpoints of changed edges, deduplicated: their degree changed, so
-    // their winv must be refreshed before any rate is recomputed.
+  // Collects the delta path's candidates, deduplicated on insertion through
+  // touch_mark_, and prices them in adjacency reads: 1 + deg per uninformed
+  // candidate (its kernel), 1 per informed one (its entry is written 0), 1
+  // per distinct endpoint plus deg per informed endpoint (the walk over its
+  // list), and kResumBlock per block resum_entries re-sums, estimated as
+  // min(candidates, blocks) — the same 1 per entry the rebuild's n pays for
+  // resum_all. Returns false, with every mark cleared, once that price times
+  // kDeltaCostFactor reaches `budget` (a rebuild's price), so a huge delta
+  // stops early.
+  //
+  // The candidates are the three sets the header derives: the interval's
+  // dirty entries, the uninformed endpoints of changed edges and the
+  // uninformed neighbours of the informed ones. Every endpoint's winv is
+  // refreshed here, before any rate is recomputed; a rebuild that follows a
+  // refused collection recomputes all of winv anyway.
+  bool collect_candidates(const CsrView& csr, const TopologyDelta& delta, std::int64_t budget) {
+    const Bitset& informed = *informed_;
+    candidates_.clear();
     endpoints_.clear();
+    std::int64_t reads = 0;
+    auto add = [&](NodeId v) {
+      std::uint8_t& mark = touch_mark_[static_cast<std::size_t>(v)];
+      if ((mark & kCandidate) != 0) return;
+      mark |= kCandidate;
+      candidates_.push_back(v);
+      reads += informed.test(static_cast<std::size_t>(v)) ? 1 : 1 + csr.degree(v);
+    };
+    const auto blocks = static_cast<std::size_t>(n_ + kResumBlock - 1) / kResumBlock;
+    auto price = [&] {
+      return reads + kResumBlock * static_cast<std::int64_t>(std::min(candidates_.size(), blocks));
+    };
+    for (NodeId v : dirty_) add(v);
+    const std::int64_t limit = budget / kDeltaCostFactor;
+    bool within = price() < limit;
     for (std::span<const Edge> part : {delta.removed, delta.added}) {
-      for (const Edge& e : part) {
-        endpoints_.push_back(e.u);
-        endpoints_.push_back(e.v);
+      for (std::size_t i = 0; within && i < part.size(); ++i) {
+        for (const NodeId u : {part[i].u, part[i].v}) {
+          std::uint8_t& mark = touch_mark_[static_cast<std::size_t>(u)];
+          if ((mark & kEndpoint) != 0) continue;
+          mark |= kEndpoint;
+          endpoints_.push_back(u);
+          const NodeId deg = csr.degree(u);
+          winv_[static_cast<std::size_t>(u)] =
+              deg > 0 ? config_.beta / static_cast<double>(deg) : 0.0;
+          ++reads;
+          if (!informed.test(static_cast<std::size_t>(u))) {
+            add(u);
+            continue;
+          }
+          reads += deg;
+          for (NodeId w : csr.neighbors(u)) {
+            if (!informed.test(static_cast<std::size_t>(w))) add(w);
+          }
+        }
+        within = price() < limit;  // early out on huge deltas
       }
     }
-    std::sort(endpoints_.begin(), endpoints_.end());
-    endpoints_.erase(std::unique(endpoints_.begin(), endpoints_.end()), endpoints_.end());
-    for (NodeId u : endpoints_) {
-      const NodeId deg = csr.degree(u);
-      winv_[static_cast<std::size_t>(u)] =
-          deg > 0 ? config_.beta / static_cast<double>(deg) : 0.0;
+    for (NodeId u : endpoints_) touch_mark_[static_cast<std::size_t>(u)] &= kCandidate;
+    if (!within) {
+      for (NodeId v : candidates_) touch_mark_[static_cast<std::size_t>(v)] = 0;
+      return false;
     }
+    delta_reads_ += price();
+    return true;
+  }
 
-    // Candidates: endpoints, their current neighbours (an endpoint's changed
-    // winv feeds every incident crossing edge), and the interval's dirty
-    // entries. A removed edge's far side is itself an endpoint, so walking
-    // the *new* adjacency covers every affected node.
+  // Puts candidates_ in ascending order and clears their marks, whichever way
+  // is cheaper: a sort while they are few, else one sweep over the n mark
+  // bytes, eight at a time with clear words skipped. A sort of c ids costs
+  // about c·log2(c) compares and a sweep n/8 word loads; timed alone (4-vCPU
+  // x86 VM) they break even near c = n/78 at n = 2·10^4, n/128 at n = 2^17
+  // and n/256 at n = 2^20, and at the largest deltas of bench_delta_rates the
+  // sweep halves the delta path's time.
+  void order_candidates() {
+    if (candidates_.size() * kSweepRatio < static_cast<std::size_t>(n_)) {
+      for (NodeId v : candidates_) touch_mark_[static_cast<std::size_t>(v)] = 0;
+      std::sort(candidates_.begin(), candidates_.end());
+      return;
+    }
     candidates_.clear();
-    candidates_.insert(candidates_.end(), dirty_.begin(), dirty_.end());
-    for (NodeId u : endpoints_) {
-      candidates_.push_back(u);
-      const std::span<const NodeId> around = csr.neighbors(u);
-      candidates_.insert(candidates_.end(), around.begin(), around.end());
+    const auto nsz = static_cast<std::size_t>(n_);
+    std::uint8_t* mark = touch_mark_.data();
+    for (std::size_t i = 0; i < nsz; i += 8) {
+      std::uint64_t word = 1;  // a tail shorter than a word is scanned bytewise
+      if (i + 8 <= nsz) std::memcpy(&word, mark + i, 8);
+      if (word == 0) continue;
+      for (std::size_t k = i; k < std::min(i + 8, nsz); ++k) {
+        if (mark[k] != 0) candidates_.push_back(static_cast<NodeId>(k));
+        mark[k] = 0;
+      }
     }
-    std::sort(candidates_.begin(), candidates_.end());
-    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()), candidates_.end());
+  }
 
+  // The delta path: recompute the collected candidates in place through the
+  // one kernel and let resum_entries re-derive the sums from their ascending
+  // indices. O(Σ_candidates (1 + deg) + min(c·log c, n/8) + n/4096).
+  void apply_delta(const CsrView& csr) {
+    ++delta_updates_;
+    const Bitset& informed = *informed_;
+    order_candidates();
     const std::span<double> rate = rates_.entries();
     for (NodeId v : candidates_) {
       const auto vv = static_cast<std::size_t>(v);
@@ -343,6 +436,14 @@ class RateModel {
     csr_ = csr;
   }
 
+  // touch_mark_ flags: the sparse rebuild uses kCandidate alone.
+  static constexpr std::uint8_t kCandidate = 1;
+  static constexpr std::uint8_t kEndpoint = 2;
+  // Entries per BlockRates block: what resum_entries re-sums per listed block.
+  static constexpr std::int64_t kResumBlock = 64;
+  // order_candidates sweeps the marks once candidates reach n / kSweepRatio.
+  static constexpr std::size_t kSweepRatio = 128;
+
   NodeId n_ = 0;
   CsrView csr_;
   const Bitset* informed_ = nullptr;
@@ -350,14 +451,15 @@ class RateModel {
   BlockRates rates_;
   std::span<double> winv_;              // β/deg per node, arena-backed
   std::span<std::uint8_t> dirty_mark_;  // 1 = already in dirty_, arena-backed
-  std::span<std::uint8_t> touch_mark_;  // 1 = already in touched_, arena-backed
+  std::span<std::uint8_t> touch_mark_;  // kCandidate/kEndpoint flags, arena-backed
   std::vector<NodeId> touched_;         // sparse-rebuild targets (cleared after use)
   std::vector<NodeId> dirty_;           // entries drifted since the last (re)build
   bool dirty_live_ = false;             // dirty set complete since the last change-point
-  std::vector<NodeId> endpoints_;       // delta-path scratch
-  std::vector<NodeId> candidates_;      // delta-path scratch
+  std::vector<NodeId> endpoints_;       // delta-path scratch: distinct endpoints
+  std::vector<NodeId> candidates_;      // delta-path scratch: distinct candidates
   std::int64_t delta_updates_ = 0;
   std::int64_t full_rebuilds_ = 0;
+  std::int64_t delta_reads_ = 0;
 };
 
 }  // namespace rumor

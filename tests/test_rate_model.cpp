@@ -1,8 +1,10 @@
 // Cross-path identity suite for the incremental change-point tier: the
 // delta-applied RateModel state must equal the full-rebuild state bit for bit
 // at every change-point, for every delta-reporting family, at rebuild worker
-// counts {1, 2, 8} — plus engine-level end-to-end checks that hiding a
-// family's deltas changes nothing in the per-trial records.
+// counts {1, 2, 8}, from one informed node, half of them and all but 64,
+// under push, pull and push-pull — plus engine-level end-to-end checks that
+// hiding a family's deltas changes nothing in the per-trial records, and that
+// the automatic path choice follows the family's churn.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -44,9 +46,11 @@ void expect_models_identical(const RateModel& delta_path, const RateModel& rebui
 // Drives one family through `steps` change-points: a delta-forced model and a
 // rebuild-forced model see the same informed-set evolution and the same
 // graphs, and must agree bitwise after every change-point. `workers` threads
-// execute the rebuild tiles (the delta path itself is serial by design).
+// execute the rebuild tiles (the delta path itself is serial by design). The
+// trial starts from `start_informed` random nodes, under `protocol`.
 void run_cross_path(std::unique_ptr<DynamicNetwork> net, int steps, int workers,
-                    std::uint64_t seed) {
+                    std::uint64_t seed, NodeId start_informed = 1,
+                    Protocol protocol = Protocol::push_pull) {
   const NodeId n = net->node_count();
   Bitset informed(static_cast<std::size_t>(n));
   std::int64_t informed_count = 0;
@@ -63,8 +67,8 @@ void run_cross_path(std::unique_ptr<DynamicNetwork> net, int steps, int workers,
 
   RateModel::Config config;
   config.beta = 1.0;
-  config.do_push = true;
-  config.pull_scale = 1.0;
+  config.do_push = protocol != Protocol::pull;
+  config.pull_scale = protocol != Protocol::push ? 1.0 : 0.0;
   config.track_dirty = true;
 
   Arena arena_a;
@@ -77,9 +81,12 @@ void run_cross_path(std::unique_ptr<DynamicNetwork> net, int steps, int workers,
   rebuild_model.begin_trial(arena_b, informed, n, config);
 
   Rng rng(seed);
-  const NodeId source = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
-  informed.set(static_cast<std::size_t>(source));
-  ++informed_count;
+  while (informed_count < start_informed) {
+    const auto v = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(n)));
+    if (informed.test(v)) continue;
+    informed.set(v);
+    ++informed_count;
+  }
 
   const Graph* graph = &net->graph_at(0, view);
   delta_model.rebuild(graph->csr(), informed_count, parallel_for);
@@ -141,6 +148,41 @@ TEST(RateModelCrossPath, MobileGeometric) {
     run_cross_path(std::make_unique<MobileGeometricNetwork>(12000, 0.01, 0.002, 13), 110,
                    workers, 3000 + static_cast<std::uint64_t>(workers));
   }
+}
+
+// Runs `family` from half its nodes informed and from all but 64, under each
+// protocol. The delta path refreshes only the cut (uninformed endpoints,
+// uninformed neighbours of informed endpoints, dirty entries), a set that
+// shrinks to the few uninformed nodes near the end of a spread; under push
+// alone an uninformed node's own winv drops out of its rate, under pull alone
+// its informed neighbours' winv does.
+template <typename MakeNetwork>
+void run_cut_extremes(NodeId n, MakeNetwork&& family, std::uint64_t seed) {
+  for (const Protocol protocol : {Protocol::push, Protocol::pull, Protocol::push_pull}) {
+    for (const NodeId start : {n / 2, n - 64}) {
+      run_cross_path(family(), 20, 2, ++seed, start, protocol);
+    }
+  }
+}
+
+TEST(RateModelCrossPath, CutExtremesEdgeMarkovian) {
+  run_cut_extremes(
+      20000, [] { return std::make_unique<EdgeMarkovianNetwork>(20000, 4e-6, 0.01, 71); }, 4000);
+}
+
+TEST(RateModelCrossPath, CutExtremesEdgeSampling) {
+  Rng rng(5);
+  const Graph base = random_connected_regular(rng, 20000, 4);
+  run_cut_extremes(
+      20000, [&] { return std::make_unique<EdgeSamplingNetwork>(Graph(base), 0.5, 31); }, 5000);
+}
+
+TEST(RateModelCrossPath, CutExtremesMobileGeometric) {
+  // Half the cross-path cell's nodes at the same mean degree (~3.8); n = 6007
+  // ends the delta path's mark sweep on a 7-node partial word.
+  run_cut_extremes(
+      6007, [] { return std::make_unique<MobileGeometricNetwork>(6007, 0.0142, 0.002, 13); },
+      6000);
 }
 
 // Rebuilds write every r(v) straight into the rate table, so with dirty
@@ -217,6 +259,50 @@ TEST(RateModelCrossPath, JumpEngineRecordsUnchangedByDeltaPath) {
     EXPECT_EQ(with_delta.graph_changes, rebuilt.graph_changes);
     EXPECT_EQ(with_delta.informed, rebuilt.informed);
   }
+}
+
+// Automatic path choice, read off the model's counters after one jump-engine
+// trial: both paths are exact, so only these counters show which one ran.
+struct PathCounts {
+  std::int64_t change_points = 0;
+  std::int64_t delta_updates = 0;
+  std::int64_t full_rebuilds = 0;  // the trial's initial rebuild included
+};
+
+PathCounts count_paths(DynamicNetwork& net, double clock_rate, std::uint64_t seed) {
+  EngineWorkspace ws;
+  AsyncOptions options;
+  options.clock_rate = clock_rate;
+  options.workspace = &ws;
+  Rng rng(seed);
+  const SpreadResult result = run_async_jump(net, 0, rng, options);
+  EXPECT_TRUE(result.completed);
+  return {result.graph_changes, ws.rate_model.delta_updates(), ws.rate_model.full_rebuilds()};
+}
+
+// A trickle of churn on a dense graph, the shape of perfbench's em_trickle at
+// half its n: mean degree ~21, ~8 edge flips per change-point, and a slow
+// clock that spreads ~20 informs over each interval on average. Refreshing
+// the cut is cheaper than a rebuild from the first informed node to the last,
+// so nearly every change-point must take the delta path (437 of 464 here).
+TEST(RateModelPathChoice, TrickleChurnTakesTheDeltaPath) {
+  EdgeMarkovianNetwork net(10000, 8e-8, 3.8e-5, 19);
+  const PathCounts counts = count_paths(net, 0.02, 7);
+  EXPECT_GT(counts.change_points, 300);
+  EXPECT_GE(counts.delta_updates * 10, counts.change_points * 9)
+      << counts.delta_updates << " delta updates over " << counts.change_points
+      << " change-points";
+}
+
+// Step-sized churn (~48k of ~80k edges flip per change-point): the first
+// change-point's delta prices above a rebuild, which also stops the dirty
+// tracking, so every later change-point rebuilds without pricing.
+TEST(RateModelPathChoice, StepSizedChurnRebuildsEveryChangePoint) {
+  EdgeMarkovianNetwork net(20000, 1.2e-4, 0.3, 71);
+  const PathCounts counts = count_paths(net, 1.0, 5);
+  EXPECT_GT(counts.change_points, 5);
+  EXPECT_LE(counts.delta_updates, 1);
+  EXPECT_GE(counts.full_rebuilds, counts.change_points);
 }
 
 }  // namespace

@@ -21,7 +21,10 @@
 //   $ rumor_serve client --socket /tmp/rumor.sock
 //         '{"id":"q1","cmd":"run","scenario":"dynamic_star","n":64,"trials":5}'
 #include <csignal>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,20 +69,40 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
+// A daemon flag read as a whole integer (json_scalar's grammar) in [min, max].
+// Anything else is std::invalid_argument naming the flag, never a narrowing
+// cast: main reports it and exits 2 before any socket is bound.
+std::int64_t flag_in_range(const Cli& cli, const std::string& name, std::int64_t fallback,
+                           std::int64_t min, std::int64_t max) {
+  const std::int64_t value = cli.get_int(name, fallback);
+  if (value < min || value > max) {
+    throw std::invalid_argument("--" + name + " must be in [" + std::to_string(min) + ", " +
+                                std::to_string(max) + "], got " + std::to_string(value));
+  }
+  return value;
+}
+
 int cmd_serve(const Cli& cli) {
   const std::string socket_path = cli.get("socket", "");
   if (socket_path.empty()) {
     std::cerr << "rumor_serve: serve requires --socket PATH\n";
     return 2;
   }
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  auto int_flag = [&](const std::string& name, int fallback, int min) {
+    return static_cast<int>(flag_in_range(cli, name, fallback, min, kIntMax));
+  };
   ServeServer::Options options;
-  options.max_active_jobs = static_cast<int>(cli.get_int("jobs", 1));
-  options.max_waiting_jobs = static_cast<int>(cli.get_int("queue", 4));
-  options.limits.job_threads = static_cast<int>(cli.get_int("threads", 1));
-  options.limits.max_trials = static_cast<int>(cli.get_int("max-trials", 100000));
-  options.limits.max_cells = static_cast<int>(cli.get_int("max-cells", 256));
+  options.max_active_jobs = int_flag("jobs", 1, 1);
+  options.max_waiting_jobs = int_flag("queue", 4, 0);
+  options.limits.job_threads = int_flag("threads", 1, 1);
+  options.limits.max_trials = int_flag("max-trials", 100000, 1);
+  options.limits.max_cells = int_flag("max-cells", 256, 1);
+  // The budget in bytes must fit a size_t; 44 bits of MiB always fit int64.
+  constexpr auto kCacheMbMax =
+      static_cast<std::int64_t>(std::numeric_limits<std::size_t>::max() >> 20);
   options.cache_bytes =
-      static_cast<std::size_t>(cli.get_int("cache-mb", 64)) << 20;
+      static_cast<std::size_t>(flag_in_range(cli, "cache-mb", 64, 0, kCacheMbMax)) << 20;
   options.build_info = kRumorBuildInfo;
 
   ServeServer server(options);
