@@ -10,7 +10,8 @@
 # trials, rebuild_threads = threads/workers) actually engages the tiled
 # parallel rate rebuilds — n is above the 16384-node tiling threshold, so the
 # tiled gather/assign paths run and must still match the serial run byte for
-# byte.
+# byte — and trials=2 cells where the lent pool drives the edge-Markovian and
+# mobile-geometric families' own tiled evolution.
 #
 # Usage: scripts/check_thread_identity.sh path/to/rumor_cli [threads]
 set -euo pipefail
@@ -43,6 +44,12 @@ run_matrix() {  # $1 = thread count, $2 = output file
   # leave the records byte-identical to the serial run.
   "$cli" fingerprint --scenarios edge_markovian --engines async_jump \
     --sweep n=40000 --p 2e-08 --q 0.0001 \
+    --trials 2 --seed 9 --threads "$1" >> "$2"
+  # Mobile agents at n above one 8192-agent move tile: the surplus threads
+  # drive the family's tiled move and cell-grid passes on the lent pool,
+  # which no other cell here (and no -LE slow ctest entry) reaches.
+  "$cli" fingerprint --scenarios mobile_geometric --engines async_jump \
+    --sweep n=17000 --radius 0.02 --step 0.01 \
     --trials 2 --seed 9 --threads "$1" >> "$2"
 }
 

@@ -12,19 +12,26 @@
 //  * Graph::version() changes iff the topology changed, letting engines skip
 //    rebuilding their rate structures when the adversary kept the graph;
 //  * families whose evolution is naturally a small edge delta may report it
-//    through last_delta(), letting engines update their rate structures in
-//    O(delta) instead of O(n) (see core/rate_model.h).
+//    through last_delta() as a TopologyDelta (graph/topology.h), letting
+//    engines update their rate structures in O(delta) instead of O(n) (see
+//    core/rate_model.h); the delta's spans stay valid until the next
+//    graph_at call, like the snapshot they describe;
+//  * families with tiled per-step evolution accept a ParallelEvolution pool
+//    (support/parallel_evolution.h) through set_parallel_evolution().
+//
+// The informed-independent stochastic families implement all of this once,
+// through dynamic/evolving_network.h.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "graph/graph.h"
 #include "graph/profile.h"
+#include "graph/topology.h"
 #include "support/bitset.h"
+#include "support/parallel_evolution.h"
 
 namespace rumor {
 
@@ -41,28 +48,6 @@ class InformedView {
  private:
   const Bitset* bits_;
   const std::int64_t* count_;
-};
-
-// A change-point's topology delta: the edges that disappeared from and
-// appeared in the snapshot relative to the previous one. Both spans are
-// normalized (u < v), lexicographically sorted, duplicate-free, and disjoint;
-// they borrow the reporting family's buffers and stay valid until its next
-// graph_at call (the same lifetime as the snapshot they describe).
-struct TopologyDelta {
-  std::span<const Edge> removed;
-  std::span<const Edge> added;
-};
-
-// Parallel-for the engines lend to families for their own per-step evolution
-// (e.g. the edge-Markovian family's tiled birth/death sampling). run() invokes
-// fn(task) once for every task in [0, tasks), in any order and on any threads;
-// families must make their evolution a pure function of the task index (the
-// tiled counter-based RNG scheme — see docs/ARCHITECTURE.md) so lending or
-// withholding a context never changes the graph sequence.
-class ParallelEvolution {
- public:
-  virtual ~ParallelEvolution() = default;
-  virtual void run(std::int64_t tasks, const std::function<void(std::int64_t)>& fn) = 0;
 };
 
 class DynamicNetwork {

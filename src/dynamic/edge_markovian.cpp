@@ -89,7 +89,7 @@ void geometric_skip(Rng& rng, double p, std::int64_t lo, std::int64_t hi, OnSucc
 
 EdgeMarkovianNetwork::EdgeMarkovianNetwork(NodeId n, double p, double q, std::uint64_t seed,
                                            bool start_empty)
-    : n_(n), p_(p), q_(q), seed_(seed), topo_(n) {
+    : EvolvingNetwork(n), n_(n), p_(p), q_(q), seed_(seed) {
   DG_REQUIRE(n >= 2, "need at least two nodes");
   DG_REQUIRE(p > 0.0 && p <= 1.0, "birth probability must lie in (0,1]");
   DG_REQUIRE(q >= 0.0 && q <= 1.0, "death probability must lie in [0,1]");
@@ -121,29 +121,7 @@ EdgeMarkovianNetwork::EdgeMarkovianNetwork(NodeId n, double p, double q, std::ui
   topo_.rebuild_presorted(std::move(edges));
 }
 
-void EdgeMarkovianNetwork::set_parallel_evolution(ParallelEvolution* evolution) {
-  evolution_ = evolution;
-  if (evolution != nullptr) {
-    topo_.set_parallel_for(
-        [evolution](std::int64_t tasks, const std::function<void(std::int64_t)>& fn) {
-          evolution->run(tasks, fn);
-        });
-  } else {
-    topo_.set_parallel_for({});
-  }
-}
-
-void EdgeMarkovianNetwork::run_tiles(std::int64_t tiles,
-                                     const std::function<void(std::int64_t)>& fn) {
-  if (evolution_ != nullptr && tiles > 1) {
-    evolution_->run(tiles, fn);
-  } else {
-    for (std::int64_t tile = 0; tile < tiles; ++tile) fn(tile);
-  }
-}
-
-void EdgeMarkovianNetwork::evolve() {
-  const std::uint64_t step = ++evolve_count_;
+void EdgeMarkovianNetwork::advance(std::uint64_t step) {
   const std::vector<Edge>& current = topo_.current().edges();  // pair-index sorted
   const std::int64_t total = static_cast<std::int64_t>(n_) * (n_ - 1) / 2;
   const std::int64_t tiles = std::max<std::int64_t>(1, (total + kPairsPerTile - 1) / kPairsPerTile);
@@ -239,31 +217,6 @@ void EdgeMarkovianNetwork::evolve() {
     added_.insert(added_.end(), add.begin(), add.end());
   }
   topo_.apply_delta_sorted(removed_, added_);
-}
-
-const Graph& EdgeMarkovianNetwork::graph_at(std::int64_t t, const InformedView&) {
-  DG_REQUIRE(t >= last_step_, "graph_at must be called with non-decreasing t");
-  int evolutions = 0;
-  while (last_step_ < t) {
-    if (last_step_ >= 0) {
-      evolve();
-      ++evolutions;
-    }
-    ++last_step_;
-  }
-  // The delta describes exactly one change-point; a call that crossed several
-  // steps composed several, so the report is withdrawn until the next step.
-  if (evolutions == 1) {
-    delta_valid_ = true;
-  } else if (evolutions > 1) {
-    delta_valid_ = false;
-  }
-  return topo_.current();
-}
-
-std::optional<TopologyDelta> EdgeMarkovianNetwork::last_delta() const {
-  if (!delta_valid_) return std::nullopt;
-  return TopologyDelta{removed_, added_};
 }
 
 }  // namespace rumor

@@ -20,20 +20,21 @@
 // list by a galloping search for its boundary pair, so cutting the tiles
 // costs O(tiles·log(m/tiles)), not a pass over the snapshot.
 //
-// Each step's births/deaths double as the reported TopologyDelta, so the jump
-// engine can take its O(Δ·deg) incremental rate path instead of an O(n)
-// rebuild.
+// Each step's births/deaths are merged into the snapshot with
+// apply_delta_sorted, and the builder hands those same buffers back as the
+// reported TopologyDelta, so the jump engine can take its O(Δ·deg)
+// incremental rate path instead of an O(n) rebuild. The step loop, the delta
+// rule and the lent pool live in EvolvingNetwork.
 #pragma once
 
 #include <vector>
 
-#include "dynamic/dynamic_network.h"
-#include "graph/topology.h"
+#include "dynamic/evolving_network.h"
 #include "stats/rng.h"
 
 namespace rumor {
 
-class EdgeMarkovianNetwork final : public DynamicNetwork {
+class EdgeMarkovianNetwork final : public EvolvingNetwork {
  public:
   // Pairs per evolution tile. Fixed (never derived from the worker count) so
   // the tiling — and with it the per-seed sequence — depends only on n.
@@ -46,38 +47,26 @@ class EdgeMarkovianNetwork final : public DynamicNetwork {
   EdgeMarkovianNetwork(NodeId n, double p, double q, std::uint64_t seed = 17,
                        bool start_empty = false);
 
-  NodeId node_count() const override { return n_; }
-  const Graph& graph_at(std::int64_t t, const InformedView& informed) override;
-  const Graph& current_graph() const override { return topo_.current(); }
   std::string name() const override { return "edge-markovian"; }
 
-  bool reports_deltas() const override { return true; }
-  std::optional<TopologyDelta> last_delta() const override;
-  // Keeps the pool for tiled evolution and forwards it to the builder's
-  // parallel delta merge.
-  void set_parallel_evolution(ParallelEvolution* evolution) override;
-
  private:
-  void evolve();
-  void run_tiles(std::int64_t tiles, const std::function<void(std::int64_t)>& fn);
+  // One evolution step, from stream counter `step` (0 is the stationary
+  // start drawn by the constructor).
+  void advance(std::uint64_t step) override;
 
   NodeId n_ = 0;
   double p_ = 0.0;
   double q_ = 0.0;
   std::uint64_t seed_ = 0;
-  TopologyBuilder topo_;
-  ParallelEvolution* evolution_ = nullptr;
-  std::int64_t last_step_ = -1;
-  std::uint64_t evolve_count_ = 0;  // stream counter: 0 = stationary start
 
-  // Per-tile outputs, concatenated in tile order into the delta buffers; all
-  // reused across steps (capacity only ever grows).
+  // Per-tile outputs, concatenated in tile order into the delta buffers the
+  // builder merges and reports; all reused across steps (capacity only ever
+  // grows).
   std::vector<std::vector<Edge>> tile_removed_;
   std::vector<std::vector<Edge>> tile_added_;
   std::vector<std::int64_t> tile_edge_start_;  // per-tile [begin, end) into edges(), searched
   std::vector<Edge> removed_;
   std::vector<Edge> added_;
-  bool delta_valid_ = false;
 };
 
 }  // namespace rumor

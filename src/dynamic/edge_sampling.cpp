@@ -7,13 +7,13 @@
 namespace rumor {
 
 EdgeSamplingNetwork::EdgeSamplingNetwork(Graph base, double p, std::uint64_t seed)
-    : base_(std::move(base)), p_(p), rng_(seed), topo_(base_.node_count()) {
+    : EvolvingNetwork(base.node_count()), base_(std::move(base)), p_(p), rng_(seed) {
   DG_REQUIRE(base_.node_count() >= 1, "base graph must have nodes");
   DG_REQUIRE(p > 0.0 && p <= 1.0, "edge probability must lie in (0, 1]");
-  resample();
+  advance(0);
 }
 
-void EdgeSamplingNetwork::resample() {
+void EdgeSamplingNetwork::advance(std::uint64_t) {
   // A subset of the base graph's normalized sorted edge list is itself
   // normalized and sorted, so the snapshot needs no sorting at all.
   std::vector<Edge> kept;
@@ -21,36 +21,7 @@ void EdgeSamplingNetwork::resample() {
   for (const Edge& e : base_.edges()) {
     if (rng_.flip(p_)) kept.push_back(e);
   }
-  if (topo_.has_snapshot()) {
-    // Delta report: symmetric difference against the previous sample.
-    // Consumes no randomness, so the per-seed sequence is unchanged from the
-    // pre-delta implementation.
-    edge_symmetric_difference(topo_.current().edges(), kept, removed_, added_);
-  }
   topo_.rebuild_presorted(std::move(kept));
-}
-
-const Graph& EdgeSamplingNetwork::graph_at(std::int64_t t, const InformedView&) {
-  DG_REQUIRE(t >= last_t_, "graph_at must be called with non-decreasing t");
-  int resamples = 0;
-  while (last_t_ < t) {
-    ++last_t_;
-    if (last_t_ > 0) {
-      resample();
-      ++resamples;
-    }
-  }
-  if (resamples == 1) {
-    delta_valid_ = true;
-  } else if (resamples > 1) {
-    delta_valid_ = false;
-  }
-  return topo_.current();
-}
-
-std::optional<TopologyDelta> EdgeSamplingNetwork::last_delta() const {
-  if (!delta_valid_) return std::nullopt;
-  return TopologyDelta{removed_, added_};
 }
 
 }  // namespace rumor

@@ -7,44 +7,33 @@
 // a natural stress test for the bound machinery and a common wireless model.
 //
 // Each resample also reports the symmetric difference against the previous
-// sample as a TopologyDelta (without touching the RNG stream, so the per-seed
-// graph sequence is exactly what it has always been); for p near 0 or 1 the
+// sample as a TopologyDelta: EvolvingNetwork asks the builder, which diffs
+// its two snapshots on request and touches no RNG stream, so the per-seed
+// graph sequence is exactly what it has always been. For p near 0 or 1 the
 // delta is small and the jump engine takes its incremental rate path.
 #pragma once
 
-#include <vector>
-
-#include "dynamic/dynamic_network.h"
-#include "graph/topology.h"
+#include "dynamic/evolving_network.h"
 #include "stats/rng.h"
 
 namespace rumor {
 
-class EdgeSamplingNetwork final : public DynamicNetwork {
+class EdgeSamplingNetwork final : public EvolvingNetwork {
  public:
   EdgeSamplingNetwork(Graph base, double p, std::uint64_t seed = 29);
 
-  NodeId node_count() const override { return base_.node_count(); }
-  const Graph& graph_at(std::int64_t t, const InformedView& informed) override;
-  const Graph& current_graph() const override { return topo_.current(); }
   std::string name() const override { return "edge-sampling"; }
-
-  bool reports_deltas() const override { return true; }
-  std::optional<TopologyDelta> last_delta() const override;
 
   const Graph& base_graph() const { return base_; }
 
  private:
-  void resample();
+  // Draws the next sample from the one sequential stream; every step, G(0)
+  // included, consumes it the same way.
+  void advance(std::uint64_t step) override;
 
   Graph base_;
   double p_;
   Rng rng_;
-  TopologyBuilder topo_;
-  std::int64_t last_t_ = -1;
-  std::vector<Edge> removed_;
-  std::vector<Edge> added_;
-  bool delta_valid_ = false;
 };
 
 }  // namespace rumor

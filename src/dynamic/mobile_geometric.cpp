@@ -17,7 +17,7 @@ double wrap_delta(double a, double b) {
 
 MobileGeometricNetwork::MobileGeometricNetwork(NodeId n, double radius, double step,
                                                std::uint64_t seed)
-    : n_(n), radius_(radius), step_(step), seed_(seed), topo_(n) {
+    : EvolvingNetwork(n), n_(n), radius_(radius), step_(step), seed_(seed) {
   DG_REQUIRE(n >= 2, "need at least two agents");
   DG_REQUIRE(radius > 0.0 && radius < 0.5, "radius must lie in (0, 0.5)");
   DG_REQUIRE(step >= 0.0 && step < 0.5, "step must lie in [0, 0.5)");
@@ -38,17 +38,7 @@ MobileGeometricNetwork::MobileGeometricNetwork(NodeId n, double radius, double s
   rebuild();
 }
 
-void MobileGeometricNetwork::run_tiles(std::int64_t tiles,
-                                       const std::function<void(std::int64_t)>& fn) {
-  if (evolution_ != nullptr && tiles > 1) {
-    evolution_->run(tiles, fn);
-  } else {
-    for (std::int64_t tile = 0; tile < tiles; ++tile) fn(tile);
-  }
-}
-
-void MobileGeometricNetwork::move() {
-  const std::uint64_t step = ++move_count_;
+void MobileGeometricNetwork::advance(std::uint64_t step) {
   // Each tile owns the agent range [tile·W, (tile+1)·W) and a private
   // counter-based RNG stream: two uniforms per agent — angle, then length —
   // in ascending agent order. Tiles write disjoint position slots, so the
@@ -66,6 +56,7 @@ void MobileGeometricNetwork::move() {
       y = std::fmod(y + r * std::sin(angle) + 1.0, 1.0);
     }
   });
+  rebuild();
 }
 
 void MobileGeometricNetwork::rebuild() {
@@ -151,38 +142,7 @@ void MobileGeometricNetwork::rebuild() {
   edges.reserve(total);
   for (const auto& out : row_edges_) edges.insert(edges.end(), out.begin(), out.end());
 
-  const bool have_previous = topo_.has_snapshot();
-  if (have_previous) prev_edges_ = topo_.current().edges();
   topo_.rebuild(std::move(edges), /*dedupe=*/true);
-
-  if (have_previous) {
-    // Delta report: symmetric difference of the sorted snapshots.
-    edge_symmetric_difference(prev_edges_, topo_.current().edges(), removed_, added_);
-  }
-}
-
-const Graph& MobileGeometricNetwork::graph_at(std::int64_t t, const InformedView&) {
-  DG_REQUIRE(t >= last_step_, "graph_at must be called with non-decreasing t");
-  int rebuilds = 0;
-  while (last_step_ < t) {
-    if (last_step_ >= 0) {
-      move();
-      rebuild();
-      ++rebuilds;
-    }
-    ++last_step_;
-  }
-  if (rebuilds == 1) {
-    delta_valid_ = true;
-  } else if (rebuilds > 1) {
-    delta_valid_ = false;
-  }
-  return topo_.current();
-}
-
-std::optional<TopologyDelta> MobileGeometricNetwork::last_delta() const {
-  if (!delta_valid_) return std::nullopt;
-  return TopologyDelta{removed_, added_};
 }
 
 }  // namespace rumor

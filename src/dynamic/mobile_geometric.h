@@ -19,17 +19,20 @@
 // the same lent pool; they draw no randomness and the builder sorts and
 // dedupes the emitted pairs, so parallel emission order cannot change a
 // snapshot either.
+//
+// Small agent steps move few edges, so each step also reports a
+// TopologyDelta: EvolvingNetwork asks the builder, which diffs the new
+// snapshot against the previous one on request and consumes no randomness.
 #pragma once
 
 #include <vector>
 
-#include "dynamic/dynamic_network.h"
-#include "graph/topology.h"
+#include "dynamic/evolving_network.h"
 #include "stats/rng.h"
 
 namespace rumor {
 
-class MobileGeometricNetwork final : public DynamicNetwork {
+class MobileGeometricNetwork final : public EvolvingNetwork {
  public:
   // Agents per movement tile. Fixed (never derived from the worker count) so
   // the tiling — and with it the per-seed sequence — depends only on n.
@@ -37,40 +40,24 @@ class MobileGeometricNetwork final : public DynamicNetwork {
 
   MobileGeometricNetwork(NodeId n, double radius, double step, std::uint64_t seed = 23);
 
-  NodeId node_count() const override { return n_; }
-  const Graph& graph_at(std::int64_t t, const InformedView& informed) override;
-  const Graph& current_graph() const override { return topo_.current(); }
   std::string name() const override { return "mobile-geometric"; }
-
-  // Small agent steps move few edges, so each rebuild also reports the
-  // sorted-list diff against the previous snapshot as a TopologyDelta
-  // (consuming no randomness — the per-seed sequence is unchanged).
-  bool reports_deltas() const override { return true; }
-  std::optional<TopologyDelta> last_delta() const override;
-  // Keeps the pool for the tiled move/rebuild passes. The builder gets none:
-  // only its delta merge is parallel, and this family always rebuilds.
-  void set_parallel_evolution(ParallelEvolution* evolution) override { evolution_ = evolution; }
 
   const std::vector<double>& xs() const { return x_; }
   const std::vector<double>& ys() const { return y_; }
 
  private:
-  void move();
+  // Moves every agent from stream counter `step`, then rebuilds.
+  void advance(std::uint64_t step) override;
   void rebuild();
   std::int64_t agent_tiles() const {
     return (static_cast<std::int64_t>(n_) + kAgentsPerTile - 1) / kAgentsPerTile;
   }
-  void run_tiles(std::int64_t tiles, const std::function<void(std::int64_t)>& fn);
 
   NodeId n_ = 0;
   double radius_ = 0.1;
   double step_ = 0.02;
   std::uint64_t seed_ = 0;
   std::vector<double> x_, y_;
-  TopologyBuilder topo_;
-  ParallelEvolution* evolution_ = nullptr;
-  std::uint64_t move_count_ = 0;  // stream counter: 0 = initial positions
-  std::int64_t last_step_ = -1;
 
   // Rebuild scratch, reused across steps (capacity only ever grows): the
   // cell grid as a counting-sorted CSR layout plus per-row pair outputs.
@@ -79,11 +66,6 @@ class MobileGeometricNetwork final : public DynamicNetwork {
   std::vector<std::int64_t> cell_cursor_;   // counting-sort fill cursors
   std::vector<NodeId> cell_agents_;         // agents grouped by cell
   std::vector<std::vector<Edge>> row_edges_;  // per-cell-row emitted pairs
-
-  std::vector<Edge> prev_edges_;  // previous snapshot's edges, for the diff
-  std::vector<Edge> removed_;
-  std::vector<Edge> added_;
-  bool delta_valid_ = false;
 };
 
 }  // namespace rumor

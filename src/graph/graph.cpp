@@ -26,10 +26,9 @@ void prefetch_for_write(const void* p) {
   (void)p;
 #endif
 }
-}  // namespace
 
-namespace detail {
-
+// Stable two-pass counting sort of normalized (u < v) edges into (u, v)
+// lexicographic order: O(n + m), no comparisons.
 void radix_sort_edges(NodeId n, std::vector<Edge>& edges, std::vector<Edge>& tmp,
                       std::vector<std::int64_t>& count) {
   const std::size_t nsz = static_cast<std::size_t>(n);
@@ -61,14 +60,13 @@ void radix_sort_edges(NodeId n, std::vector<Edge>& edges, std::vector<Edge>& tmp
     edges[static_cast<std::size_t>(count[static_cast<std::size_t>(e.u)]++)] = e;
   }
 }
+}  // namespace
 
-}  // namespace detail
+namespace detail {
 
-Graph::Graph(NodeId n, std::vector<Edge> edges)
-    : n_(n), edges_(std::move(edges)), version_(g_next_version.fetch_add(1)) {
-  DG_REQUIRE(n >= 0, "node count must be non-negative");
-
-  for (auto& e : edges_) {
+void canonicalize_edges(NodeId n, std::vector<Edge>& edges, bool dedupe, std::vector<Edge>& tmp,
+                        std::vector<std::int64_t>& count) {
+  for (auto& e : edges) {
     DG_REQUIRE(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n, "edge endpoint out of range");
     DG_REQUIRE(e.u != e.v, "self-loops are not allowed in a simple graph");
     if (e.u > e.v) std::swap(e.u, e.v);
@@ -76,16 +74,25 @@ Graph::Graph(NodeId n, std::vector<Edge> edges)
   // Deterministic generators (cliques, stars, circulants) emit edges already
   // in lexicographic order; one cheap scan then skips both scatter passes.
   const bool sorted = std::is_sorted(
-      edges_.begin(), edges_.end(),
+      edges.begin(), edges.end(),
       [](const Edge& a, const Edge& b) { return a.u < b.u || (a.u == b.u && a.v < b.v); });
-  if (!sorted) {
-    std::vector<Edge> tmp;
-    std::vector<std::int64_t> count;
-    detail::radix_sort_edges(n_, edges_, tmp, count);
+  if (!sorted) radix_sort_edges(n, edges, tmp, count);
+  if (dedupe) {
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  } else {
+    DG_REQUIRE(std::adjacent_find(edges.begin(), edges.end()) == edges.end(),
+               "duplicate edge in a simple graph");
   }
-  for (std::size_t i = 1; i < edges_.size(); ++i) {
-    DG_REQUIRE(!(edges_[i] == edges_[i - 1]), "duplicate edge in a simple graph");
-  }
+}
+
+}  // namespace detail
+
+Graph::Graph(NodeId n, std::vector<Edge> edges)
+    : n_(n), edges_(std::move(edges)), version_(g_next_version.fetch_add(1)) {
+  DG_REQUIRE(n >= 0, "node count must be non-negative");
+  std::vector<Edge> tmp;
+  std::vector<std::int64_t> count;
+  detail::canonicalize_edges(n_, edges_, /*dedupe=*/false, tmp, count);
   build_csr();
 }
 

@@ -54,12 +54,16 @@ struct CsrView {
 };
 
 namespace detail {
-// Stable two-pass counting sort of normalized (u < v) edges into (u, v)
-// lexicographic order: O(n + m), no comparisons. Shared by the Graph
-// constructor and TopologyBuilder (which reuses `tmp`/`count` across
-// rebuilds) so the two construction paths cannot drift apart.
-void radix_sort_edges(NodeId n, std::vector<Edge>& edges, std::vector<Edge>& tmp,
-                      std::vector<std::int64_t>& count);
+// Puts an arbitrary edge list into the one canonical form every snapshot
+// stores: endpoints range-checked and normalized (u < v, no self-loops),
+// (u, v)-lexicographically sorted by a stable two-pass counting sort (skipped
+// when the list is already sorted), and duplicate-free — a duplicate is
+// rejected, or with `dedupe` collapsed to one. The sorted duplicate-free
+// form of an edge set is unique, so every caller gets the same bytes. Shared
+// by the Graph constructor and TopologyBuilder::rebuild, which reuses
+// `tmp`/`count` across rebuilds.
+void canonicalize_edges(NodeId n, std::vector<Edge>& edges, bool dedupe, std::vector<Edge>& tmp,
+                        std::vector<std::int64_t>& count);
 }  // namespace detail
 
 class Graph {

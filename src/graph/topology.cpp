@@ -13,16 +13,10 @@ bool edge_less(const Edge& a, const Edge& b) {
   return a.u < b.u || (a.u == b.u && a.v < b.v);
 }
 
-void normalize(NodeId n, std::vector<Edge>& edges) {
-  for (auto& e : edges) {
-    DG_REQUIRE(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n, "edge endpoint out of range");
-    DG_REQUIRE(e.u != e.v, "self-loops are not allowed in a simple graph");
-    if (e.u > e.v) std::swap(e.u, e.v);
-  }
-}
-
-}  // namespace
-
+// Two-pointer symmetric difference of two normalized, lexicographically
+// sorted, duplicate-free edge lists: edges only in `before` land in
+// `removed`, edges only in `after` land in `added` (both cleared first, both
+// emitted sorted). O(|before| + |after|).
 void edge_symmetric_difference(const std::vector<Edge>& before, const std::vector<Edge>& after,
                                std::vector<Edge>& removed, std::vector<Edge>& added) {
   removed.clear();
@@ -41,6 +35,8 @@ void edge_symmetric_difference(const std::vector<Edge>& before, const std::vecto
   }
 }
 
+}  // namespace
+
 TopologyBuilder::TopologyBuilder(NodeId n) : n_(n) {
   DG_REQUIRE(n >= 0, "node count must be non-negative");
 }
@@ -50,7 +46,7 @@ const Graph& TopologyBuilder::current() const {
   return graphs_[live_];
 }
 
-const Graph& TopologyBuilder::publish() {
+const Graph& TopologyBuilder::publish(DeltaSource source) {
   // The slot being overwritten is the snapshot from two rebuilds ago; nobody
   // may hold a reference to it any more (graph_at's one-step validity
   // contract), so it is rebuilt in place around the edges just written into
@@ -58,23 +54,27 @@ const Graph& TopologyBuilder::publish() {
   const int next = 1 - live_;
   graphs_[next].refresh(n_);
   live_ = next;
+  delta_source_ = has_snapshot_ ? source : DeltaSource::none;
   has_snapshot_ = true;
   return graphs_[live_];
 }
 
-const Graph& TopologyBuilder::rebuild(std::vector<Edge> edges, bool dedupe) {
-  normalize(n_, edges);
-  detail::radix_sort_edges(n_, edges, scratch_tmp_, scratch_count_);
-
-  if (dedupe) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  } else {
-    for (std::size_t i = 1; i < edges.size(); ++i) {
-      DG_REQUIRE(!(edges[i] == edges[i - 1]), "duplicate edge in a simple graph");
-    }
+std::optional<TopologyDelta> TopologyBuilder::last_delta() const {
+  if (delta_source_ == DeltaSource::none) return std::nullopt;
+  if (delta_source_ == DeltaSource::slots) {
+    edge_symmetric_difference(graphs_[1 - live_].edges_, graphs_[live_].edges_, diff_removed_,
+                              diff_added_);
+    delta_removed_ = diff_removed_;
+    delta_added_ = diff_added_;
+    delta_source_ = DeltaSource::spans;
   }
+  return TopologyDelta{delta_removed_, delta_added_};
+}
+
+const Graph& TopologyBuilder::rebuild(std::vector<Edge> edges, bool dedupe) {
+  detail::canonicalize_edges(n_, edges, dedupe, scratch_tmp_, scratch_count_);
   graphs_[1 - live_].edges_ = std::move(edges);
-  return publish();
+  return publish(DeltaSource::slots);
 }
 
 const Graph& TopologyBuilder::rebuild_presorted(std::vector<Edge> edges) {
@@ -87,7 +87,7 @@ const Graph& TopologyBuilder::rebuild_presorted(std::vector<Edge> edges) {
   }
 #endif
   graphs_[1 - live_].edges_ = std::move(edges);
-  return publish();
+  return publish(DeltaSource::slots);
 }
 
 const Graph& TopologyBuilder::apply_delta_sorted(std::span<const Edge> removed,
@@ -109,6 +109,11 @@ const Graph& TopologyBuilder::apply_delta_sorted(std::span<const Edge> removed,
 const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
                                           std::span<const Edge> added) {
   DG_REQUIRE(has_snapshot_, "apply_delta_sorted needs a previous snapshot");
+  // The merge overwrites the previous snapshot's slot, so until it publishes
+  // there is no delta to report; on success it is the caller's spans.
+  delta_source_ = DeltaSource::none;
+  delta_removed_ = removed;
+  delta_added_ = added;
   const std::vector<Edge>& old = graphs_[live_].edges_;
   // The merge writes straight into the other slot's edge buffer, which holds
   // the snapshot from two rebuilds ago and so already has about m entries of
@@ -131,11 +136,11 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
   // serial weave below, which raises the precise error.
   const auto m = static_cast<std::int64_t>(old.size());
   const std::int64_t tiles = (m + kMergeTileEdges - 1) / kMergeTileEdges;
-  if (parallel_for_ && m >= kParallelMergeMinEdges && tiles > 1 &&
+  if (pool_ != nullptr && m >= kParallelMergeMinEdges && tiles > 1 &&
       removed.size() <= old.size()) {
     merged.resize(old.size() - removed.size() + added.size());
     merge_status_.assign(static_cast<std::size_t>(tiles), 0);
-    parallel_for_(tiles, [&](std::int64_t t) {
+    pool_->run(tiles, [&](std::int64_t t) {
       const std::int64_t lo = t * kMergeTileEdges;
       const std::int64_t hi = std::min(m, lo + kMergeTileEdges);
       auto split = [&](std::span<const Edge> delta, std::int64_t boundary) {
@@ -194,7 +199,7 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
     });
     bool any_bad = false;
     for (const std::uint8_t flag : merge_status_) any_bad = any_bad || flag != 0;
-    if (!any_bad) return publish();
+    if (!any_bad) return publish(DeltaSource::spans);
   }
 
   merged.clear();
@@ -221,7 +226,7 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
     slot = Graph();
     throw;
   }
-  return publish();
+  return publish(DeltaSource::spans);
 }
 
 }  // namespace rumor

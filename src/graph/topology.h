@@ -11,6 +11,8 @@
 // points on a cost gradient:
 //
 //  * rebuild(edges)            — full rebuild from an arbitrary edge list,
+//                                canonicalized by the Graph constructor's
+//                                own path (detail::canonicalize_edges):
 //                                O(n + m) counting sorts, no comparisons;
 //  * rebuild_presorted(edges)  — the caller guarantees normalized (u < v),
 //                                lexicographically sorted, duplicate-free
@@ -21,27 +23,27 @@
 //                                deltas in O(m + |delta|).
 //
 // Each call returns a reference to a fresh immutable Graph with a new
-// version(), so engines' version-compare change detection keeps working.
+// version(), so engines' version-compare change detection keeps working, and
+// last_delta() reports what that publish changed.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "graph/graph.h"
+#include "support/parallel_evolution.h"
 
 namespace rumor {
 
-// Two-pointer symmetric difference of two normalized, lexicographically
-// sorted, duplicate-free edge lists: edges only in `before` land in
-// `removed`, edges only in `after` land in `added` (both cleared first, both
-// emitted sorted). This is how families that rebuild from scratch
-// (edge_sampling, mobile_geometric) derive the TopologyDelta they report —
-// one definition so the delta contract and TopologyBuilder's edge ordering
-// cannot drift apart. O(|before| + |after|).
-void edge_symmetric_difference(const std::vector<Edge>& before, const std::vector<Edge>& after,
-                               std::vector<Edge>& removed, std::vector<Edge>& added);
+// A change-point's topology delta: the edges that disappeared from and
+// appeared in a snapshot relative to the one before it. Both spans are
+// normalized (u < v), lexicographically sorted, duplicate-free, and disjoint.
+struct TopologyDelta {
+  std::span<const Edge> removed;
+  std::span<const Edge> added;
+};
 
 class TopologyBuilder {
  public:
@@ -51,23 +53,17 @@ class TopologyBuilder {
   static constexpr std::int64_t kMergeTileEdges = std::int64_t{1} << 16;
   static constexpr std::int64_t kParallelMergeMinEdges = std::int64_t{1} << 17;
 
-  // Parallel-for with the ParallelEvolution::run signature: invokes fn(task)
-  // once per task in [0, tasks), on any threads. The graph layer cannot see
-  // dynamic/'s ParallelEvolution interface, so a family forwards its lent
-  // pool through this std::function instead (see
-  // EdgeMarkovianNetwork::set_parallel_evolution). Lending or revoking it
-  // never changes a snapshot: the parallel merge writes each tile to a
-  // precomputed disjoint output range of the same weave the serial path
-  // produces.
-  using ParallelFor = std::function<void(std::int64_t, const std::function<void(std::int64_t)>&)>;
-
   explicit TopologyBuilder(NodeId n);
 
   NodeId node_count() const { return n_; }
   bool has_snapshot() const { return has_snapshot_; }
 
-  // Lends (or with {} revokes) a parallel-for for the O(m) delta merge.
-  void set_parallel_for(ParallelFor parallel_for) { parallel_for_ = std::move(parallel_for); }
+  // Lends (or with nullptr revokes) a pool for the O(m) delta merge. Lending
+  // or revoking it never changes a snapshot: the tiled merge writes each tile
+  // to a precomputed disjoint output range of the weave the serial path
+  // produces. The pool must stay valid until revoked.
+  void set_parallel_evolution(ParallelEvolution* pool) { pool_ = pool; }
+  ParallelEvolution* parallel_evolution() const { return pool_; }
 
   // The latest snapshot; requires at least one rebuild first.
   const Graph& current() const;
@@ -83,22 +79,32 @@ class TopologyBuilder {
 
   // Delta rebuild: remove `removed` from and then insert `added` into the
   // previous snapshot's edge set. Both are caller-retained buffers that are
-  // already normalized (u < v), lexicographically sorted, and duplicate-free
-  // — the exact form delta-reporting families expose through
-  // DynamicNetwork::last_delta() — so one pair of vectors serves both this
-  // builder and the family's delta report. Every removed edge must be
-  // present and no added edge may already exist. O(m + |delta|): one linear
-  // merge and the CSR fill. A delta that is unnormalized, out of range or not
-  // strictly increasing is rejected before the merge starts, leaving both
-  // snapshots as they were. A delta that fails membership leaves current() as
-  // it was but empties the previous snapshot, whose slot the merge had
-  // already begun to overwrite.
+  // already normalized (u < v), lexicographically sorted, and duplicate-free.
+  // last_delta() hands these same spans back without a copy, so they must
+  // stay valid until the next publish. Every removed edge must be present and
+  // no added edge may already exist. O(m + |delta|): one linear merge and the
+  // CSR fill. A delta that is unnormalized, out of range or not strictly
+  // increasing is rejected before the merge starts, leaving both snapshots
+  // as they were. A delta that fails membership leaves current() as it was
+  // but empties the previous snapshot, whose slot the merge had already
+  // begun to overwrite, and withdraws last_delta().
   const Graph& apply_delta_sorted(std::span<const Edge> removed, std::span<const Edge> added);
 
+  // What the latest publish changed, valid until the next publish; nullopt
+  // for the first snapshot and after a delta merge that failed membership. After
+  // apply_delta_sorted these are the caller's spans. After a rebuild the
+  // builder diffs its two live slots into buffers of its own on the first
+  // request, so a caller that never asks never pays the O(m) diff, and no
+  // rebuild call times it.
+  std::optional<TopologyDelta> last_delta() const;
+
  private:
+  // Where last_delta() finds the latest publish's delta.
+  enum class DeltaSource : std::uint8_t { none, spans, slots };
+
   // Rebuilds the non-live slot around the edges just written into it, with a
   // fresh version, and makes it current().
-  const Graph& publish();
+  const Graph& publish(DeltaSource source);
   const Graph& merge_delta(std::span<const Edge> removed, std::span<const Edge> added);
 
   NodeId n_ = 0;
@@ -110,8 +116,15 @@ class TopologyBuilder {
   int live_ = 0;
   std::vector<Edge> scratch_tmp_;
   std::vector<std::int64_t> scratch_count_;
-  ParallelFor parallel_for_;
+  ParallelEvolution* pool_ = nullptr;
   std::vector<std::uint8_t> merge_status_;  // per-tile delta-violation flags
+  // The latest publish's delta. A slots diff is taken lazily by the const
+  // last_delta(), which then points the spans at the diff buffers.
+  mutable DeltaSource delta_source_ = DeltaSource::none;
+  mutable std::span<const Edge> delta_removed_;
+  mutable std::span<const Edge> delta_added_;
+  mutable std::vector<Edge> diff_removed_;
+  mutable std::vector<Edge> diff_added_;
 };
 
 }  // namespace rumor

@@ -2,8 +2,15 @@
 // evolution rules, and the analytic profiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <memory>
+#include <ostream>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dynamic/absolute_adversary.h"
@@ -11,6 +18,7 @@
 #include "dynamic/diligent_adversary.h"
 #include "dynamic/dynamic_star.h"
 #include "dynamic/edge_markovian.h"
+#include "dynamic/edge_sampling.h"
 #include "dynamic/mobile_geometric.h"
 #include "dynamic/simple_networks.h"
 #include "graph/builders.h"
@@ -447,46 +455,35 @@ TEST(EdgeMarkovian, RejectsOutOfRangeProbabilities) {
   EXPECT_THROW(EdgeMarkovianNetwork(10, 0.5, 1.5), std::invalid_argument);
 }
 
-TEST(EdgeMarkovian, DeltaMatchesSnapshotDiff) {
-  EdgeMarkovianNetwork net(70, 0.05, 0.4, 21);
-  Informed inf(70);
-  std::vector<Edge> prev = net.graph_at(0, inf.view()).edges();
-  for (int t = 1; t <= 25; ++t) {
-    const Graph& g = net.graph_at(t, inf.view());
-    const auto delta = net.last_delta();
-    ASSERT_TRUE(delta.has_value());
-    // Reconstruct the new edge set from the previous one plus the delta.
-    std::vector<Edge> rebuilt;
-    std::size_t r = 0;
-    std::size_t a = 0;
-    for (const Edge& e : prev) {
-      while (a < delta->added.size() && (delta->added[a].u < e.u ||
-                                         (delta->added[a].u == e.u && delta->added[a].v < e.v))) {
-        rebuilt.push_back(delta->added[a++]);
-      }
-      if (r < delta->removed.size() && delta->removed[r] == e) {
-        ++r;
-        continue;
-      }
-      rebuilt.push_back(e);
+// The n = 10^5 golden cell (scripts/check_fingerprints.sh: p = 1.6e-5,
+// q = 0.2, m ~ 400k) is the one whose records pin TopologyBuilder's tiled
+// merge weave. This proves the family forwards a lent pool to that weave:
+// one step runs evolve's ~299 pair tiles and then ceil(m / kMergeTileEdges)
+// merge tiles on the pool, and nothing else.
+TEST(EdgeMarkovian, LentPoolRunsTiledMergeAtGoldenScale) {
+  class CountingEvolution final : public ParallelEvolution {
+   public:
+    std::vector<std::int64_t> runs;
+    void run(std::int64_t tasks, const std::function<void(std::int64_t)>& fn) override {
+      runs.push_back(tasks);
+      for (std::int64_t task = 0; task < tasks; ++task) fn(task);
     }
-    while (a < delta->added.size()) rebuilt.push_back(delta->added[a++]);
-    EXPECT_EQ(r, delta->removed.size());
-    EXPECT_EQ(rebuilt, g.edges());
-    prev = g.edges();
-  }
-}
-
-TEST(EdgeMarkovian, MultiStepAdvanceWithdrawsDelta) {
-  EdgeMarkovianNetwork net(40, 0.05, 0.4, 33);
-  Informed inf(40);
-  net.graph_at(0, inf.view());
+  };
+  const NodeId n = 100000;
+  EdgeMarkovianNetwork net(n, 1.6e-5, 0.2, 7);
+  CountingEvolution pool;
+  net.set_parallel_evolution(&pool);
+  Informed inf(n);
+  const std::int64_t m = net.graph_at(0, inf.view()).edge_count();
+  ASSERT_GE(m, TopologyBuilder::kParallelMergeMinEdges);
   net.graph_at(1, inf.view());
-  EXPECT_TRUE(net.last_delta().has_value());
-  net.graph_at(3, inf.view());  // two composed evolutions: no single delta
-  EXPECT_FALSE(net.last_delta().has_value());
-  net.graph_at(4, inf.view());
-  EXPECT_TRUE(net.last_delta().has_value());
+  const std::int64_t pairs = std::int64_t{n} * (n - 1) / 2;
+  const std::int64_t pair_tiles =
+      (pairs + EdgeMarkovianNetwork::kPairsPerTile - 1) / EdgeMarkovianNetwork::kPairsPerTile;
+  const std::int64_t merge_tiles =
+      (m + TopologyBuilder::kMergeTileEdges - 1) / TopologyBuilder::kMergeTileEdges;
+  ASSERT_NE(pair_tiles, merge_tiles);
+  EXPECT_EQ(pool.runs, (std::vector<std::int64_t>{pair_tiles, merge_tiles}));
 }
 
 TEST(EdgeMarkovian, GraphsStaySimple) {
@@ -543,6 +540,73 @@ TEST(MobileGeometric, PositionsStayOnTorus) {
     }
   }
 }
+
+// The delta contract EvolvingNetwork keeps for every family it carries: a
+// call that advances one step reports exactly the diff of the consecutive
+// snapshots, a repeat call at the same t keeps that report, and a call that
+// crosses several steps withdraws it until the next single step. A delta
+// silently withdrawn would leave every record unchanged (the engine falls
+// back to a rebuild), so only a test like this one sees it.
+struct EvolvingFamily {
+  const char* name;
+  std::function<std::unique_ptr<DynamicNetwork>()> make;
+};
+
+void PrintTo(const EvolvingFamily& family, std::ostream* os) { *os << family.name; }
+
+class EvolvingDeltaContract : public ::testing::TestWithParam<EvolvingFamily> {};
+
+std::vector<Edge> as_vector(std::span<const Edge> edges) { return {edges.begin(), edges.end()}; }
+
+TEST_P(EvolvingDeltaContract, OneStepReportsTheSnapshotDiff) {
+  const auto edge_less = [](const Edge& a, const Edge& b) {
+    return a.u < b.u || (a.u == b.u && a.v < b.v);
+  };
+  const std::unique_ptr<DynamicNetwork> net = GetParam().make();
+  Informed inf(net->node_count());
+  std::vector<Edge> prev = net->graph_at(0, inf.view()).edges();
+  EXPECT_FALSE(net->last_delta().has_value());
+  std::size_t changed = 0;
+  for (int t = 1; t <= 25; ++t) {
+    const Graph& g = net->graph_at(t, inf.view());
+    std::vector<Edge> removed;
+    std::vector<Edge> added;
+    std::set_difference(prev.begin(), prev.end(), g.edges().begin(), g.edges().end(),
+                        std::back_inserter(removed), edge_less);
+    std::set_difference(g.edges().begin(), g.edges().end(), prev.begin(), prev.end(),
+                        std::back_inserter(added), edge_less);
+    for (int call = 0; call < 2; ++call) {  // the step, then a repeat at t
+      if (call == 1) {
+        ASSERT_EQ(&net->graph_at(t, inf.view()), &g);
+      }
+      const auto delta = net->last_delta();
+      ASSERT_TRUE(delta.has_value()) << "t=" << t << " call " << call;
+      EXPECT_EQ(as_vector(delta->removed), removed) << "t=" << t << " call " << call;
+      EXPECT_EQ(as_vector(delta->added), added) << "t=" << t << " call " << call;
+    }
+    changed += removed.size() + added.size();
+    prev = g.edges();
+  }
+  EXPECT_GT(changed, 0U);
+
+  net->graph_at(27, inf.view());  // two composed steps: no single delta
+  EXPECT_FALSE(net->last_delta().has_value());
+  net->graph_at(27, inf.view());
+  EXPECT_FALSE(net->last_delta().has_value());
+  net->graph_at(28, inf.view());
+  EXPECT_TRUE(net->last_delta().has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, EvolvingDeltaContract,
+    ::testing::Values(
+        EvolvingFamily{"EdgeMarkovian",
+                       [] { return std::make_unique<EdgeMarkovianNetwork>(70, 0.05, 0.4, 21); }},
+        EvolvingFamily{"EdgeSampling",
+                       [] { return std::make_unique<EdgeSamplingNetwork>(make_clique(24), 0.5, 21); }},
+        EvolvingFamily{"MobileGeometric",
+                       [] { return std::make_unique<MobileGeometricNetwork>(60, 0.2, 0.05, 21); }}),
+    [](const ::testing::TestParamInfo<EvolvingFamily>& family) { return std::string(family.param.name); });
 
 }  // namespace
 }  // namespace rumor

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -348,7 +350,7 @@ TEST(TopologyBuilder_, FillMatchesNaiveAcrossBlockEdges) {
 // A delta merge writes into the evicted snapshot's own edge buffer, so after
 // warm-up a builder's snapshots alternate between exactly two edge buffers:
 // no third buffer, and no reallocation while the edge count holds. Checked
-// on the serial weave and on the tiled weave a lent ParallelFor drives.
+// on the serial weave and on the tiled weave a lent pool drives.
 TEST(TopologyBuilder_, ApplyDeltaReusesTwoEdgeBuffers) {
   // A circulant with 12 chords per node: past kParallelMergeMinEdges, and
   // several merge tiles.
@@ -366,16 +368,20 @@ TEST(TopologyBuilder_, ApplyDeltaReusesTwoEdgeBuffers) {
     extra.push_back({u, u + 20});
   }
 
+  // Counts the tiled merges and runs each one's tiles last first.
+  class ReverseCounter final : public ParallelEvolution {
+   public:
+    int runs = 0;
+    void run(std::int64_t tasks, const std::function<void(std::int64_t)>& fn) override {
+      ++runs;
+      for (std::int64_t t = tasks - 1; t >= 0; --t) fn(t);
+    }
+  };
+
   for (const bool lend : {false, true}) {
     TopologyBuilder topo(n);
-    int tiled_merges = 0;
-    if (lend) {
-      topo.set_parallel_for(
-          [&tiled_merges](std::int64_t tasks, const std::function<void(std::int64_t)>& fn) {
-            ++tiled_merges;
-            for (std::int64_t t = tasks - 1; t >= 0; --t) fn(t);
-          });
-    }
+    ReverseCounter pool;
+    if (lend) topo.set_parallel_evolution(&pool);
     topo.rebuild(edges);
     const std::vector<Edge> base = topo.current().edges();
     std::vector<const Edge*> buffers;
@@ -396,7 +402,7 @@ TEST(TopologyBuilder_, ApplyDeltaReusesTwoEdgeBuffers) {
       }
     }
     expect_csr_matches_naive(topo.current());
-    EXPECT_EQ(tiled_merges, lend ? 10 : 0);
+    EXPECT_EQ(pool.runs, lend ? 10 : 0);
   }
 }
 
@@ -460,13 +466,15 @@ TEST(TopologyBuilder_, FillMatchesNaiveAroundPrefetchDistance) {
     EXPECT_EQ(presorted.edges(), sorted);
     expect_csr_matches_naive(presorted);
 
-    // From a path on the same nodes, which shares some edges with each set.
+    // From a path on the same nodes, which shares some edges with each set:
+    // the builder's diff of set -> path, inverted, is the delta path -> set.
     std::vector<Edge> path;
     for (NodeId u = 0; u + 1 < n; ++u) path.push_back({u, u + 1});
     topo.rebuild_presorted(path);
-    std::vector<Edge> removed;
-    std::vector<Edge> added;
-    edge_symmetric_difference(path, sorted, removed, added);
+    const std::optional<TopologyDelta> back = topo.last_delta();
+    ASSERT_TRUE(back.has_value());
+    const std::vector<Edge> removed(back->added.begin(), back->added.end());
+    const std::vector<Edge> added(back->removed.begin(), back->removed.end());
     const Graph& merged = topo.apply_delta_sorted(removed, added);
     EXPECT_EQ(merged.edges(), sorted);
     expect_csr_matches_naive(merged);
@@ -495,6 +503,60 @@ TEST(TopologyBuilder_, FillMatchesNaiveAroundPrefetchDistance) {
     check(n, hub_last);
     check(n, hub_first);
   }
+}
+
+// Reference diff of two sorted edge lists, by the standard algorithms.
+std::pair<std::vector<Edge>, std::vector<Edge>> naive_diff(const std::vector<Edge>& before,
+                                                           const std::vector<Edge>& after) {
+  std::vector<Edge> removed;
+  std::vector<Edge> added;
+  std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
+                      std::back_inserter(removed), edge_less);
+  std::set_difference(after.begin(), after.end(), before.begin(), before.end(),
+                      std::back_inserter(added), edge_less);
+  return {removed, added};
+}
+
+// last_delta() reports the latest publish: nothing for the first snapshot,
+// the caller's own spans after a merge, the diff of the two live snapshots
+// after a rebuild (asked twice, answered from one diff), and nothing once a
+// merge that failed membership has overwritten the previous snapshot.
+TEST(TopologyBuilder_, LastDeltaReportsLatestPublish) {
+  Rng rng(53);
+  TopologyBuilder topo(60);
+  topo.rebuild(erdos_renyi(rng, 60, 0.1).edges());
+  EXPECT_FALSE(topo.last_delta().has_value());
+
+  for (int round = 0; round < 20; ++round) {
+    const std::vector<Edge> before = topo.current().edges();
+    const Graph& next = topo.rebuild(erdos_renyi(rng, 60, 0.1).edges());
+    const auto [removed, added] = naive_diff(before, next.edges());
+    const std::optional<TopologyDelta> delta = topo.last_delta();
+    ASSERT_TRUE(delta.has_value());
+    EXPECT_EQ(std::vector<Edge>(delta->removed.begin(), delta->removed.end()), removed);
+    EXPECT_EQ(std::vector<Edge>(delta->added.begin(), delta->added.end()), added);
+    const std::optional<TopologyDelta> again = topo.last_delta();
+    EXPECT_EQ(again->removed.data(), delta->removed.data());
+    EXPECT_EQ(again->added.data(), delta->added.data());
+
+    // Merge the same delta back: the report is the caller's buffers.
+    const std::vector<Edge> undo_removed = added;
+    const std::vector<Edge> undo_added = removed;
+    EXPECT_EQ(topo.apply_delta_sorted(undo_removed, undo_added).edges(), before);
+    const std::optional<TopologyDelta> merged = topo.last_delta();
+    ASSERT_TRUE(merged.has_value());
+    EXPECT_EQ(merged->removed.data(), undo_removed.data());
+    EXPECT_EQ(merged->added.data(), undo_added.data());
+    EXPECT_EQ(merged->removed.size(), undo_removed.size());
+    EXPECT_EQ(merged->added.size(), undo_added.size());
+  }
+
+  // Removing an absent edge fails membership inside the merge.
+  Edge absent{0, 1};
+  while (topo.current().has_edge(absent.u, absent.v)) ++absent.v;
+  const std::vector<Edge> none;
+  EXPECT_THROW(topo.apply_delta_sorted(std::vector<Edge>{absent}, none), std::invalid_argument);
+  EXPECT_FALSE(topo.last_delta().has_value());
 }
 
 TEST(TopologyBuilder_, CurrentBeforeRebuildThrows) {
