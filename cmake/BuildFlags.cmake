@@ -57,19 +57,3 @@ else()
 endif()
 target_compile_definitions(rumor_build_flags INTERFACE
   RUMOR_SANITIZER=\"${RUMOR_SANITIZER_STRING}\")
-
-# Static analysis: -DRUMOR_CLANG_TIDY=ON runs clang-tidy (config: .clang-tidy
-# at the repo root) on every TU as it compiles. Off by default — the analysis
-# roughly triples compile time — and fatal when the tool is missing, because
-# a leg that silently skipped analysis would report a lie. CI uses
-# scripts/run_clang_tidy.sh over the compile database instead, which
-# parallelizes better and supports changed-files mode for local runs.
-option(RUMOR_CLANG_TIDY "Run clang-tidy alongside compilation" OFF)
-if(RUMOR_CLANG_TIDY)
-  find_program(RUMOR_CLANG_TIDY_EXE NAMES clang-tidy)
-  if(NOT RUMOR_CLANG_TIDY_EXE)
-    message(FATAL_ERROR "RUMOR_CLANG_TIDY=ON but no clang-tidy in PATH")
-  endif()
-  # Included via include(), so this sets the caller's (top-level) scope.
-  set(CMAKE_CXX_CLANG_TIDY "${RUMOR_CLANG_TIDY_EXE}")
-endif()

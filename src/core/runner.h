@@ -66,18 +66,10 @@ struct RunnerOptions {
   // Ignored by the flooding baseline, which has no randomized contacts.
   double transmission_failure_prob = 0.0;
 
-  // Retain every trial's full SpreadResult in RunnerReport::per_trial (in
-  // trial order), so drivers can stream per-trial records (JSON lines, CSV)
-  // instead of only aggregates. Off by default: the informed bitset and the
-  // trace make a SpreadResult O(n) in memory. Million-node drivers should prefer
-  // trial_sink, which observes the same results chunk by chunk without
-  // retaining them.
-  bool keep_per_trial = false;
-
   // Streaming consumer invoked once per trial, in trial order, as each chunk
   // of trials completes (on the calling thread). The result reference is
-  // only valid during the call. Composes with keep_per_trial but replaces it
-  // for memory-bounded million-node sweeps.
+  // only valid during the call, so at most one chunk of full results is ever
+  // resident; this is the one way to observe individual trials.
   std::function<void(int trial, const SpreadResult& result)> trial_sink;
 
   // Progress observer invoked after every completed chunk (on the calling
@@ -104,10 +96,6 @@ struct RunnerReport {
   SampleSet theorem13_crossing;
   int trials = 0;
   int completed = 0;
-
-  // Full per-trial results in trial order; filled iff
-  // RunnerOptions::keep_per_trial was set.
-  std::vector<SpreadResult> per_trial;
 
   double completion_rate() const {
     return trials == 0 ? 0.0 : static_cast<double>(completed) / trials;

@@ -40,14 +40,13 @@ void AbsoluteAdversaryNetwork::rebuild(const InformedView* informed) {
     if (it != a_side_.end()) std::iter_swap(a_side_.begin(), it);
   }
 
-  Graph a_graph = make_hub_circulant(a_count, delta_);
-  Graph b_graph = make_regular_circulant(b_count, delta_);
-
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(a_graph.edge_count() + b_graph.edge_count() + 1));
-  for (const Edge& e : a_graph.edges())
-    edges.push_back({a_side_[static_cast<std::size_t>(e.u)], a_side_[static_cast<std::size_t>(e.v)]});
-  for (const Edge& e : b_graph.edges())
+  // Both circulants are relabelled edge by edge into one list, which the
+  // builder canonicalizes.
+  std::vector<Edge> edges = hub_circulant_edges(a_count, delta_);
+  for (Edge& e : edges) {
+    e = {a_side_[static_cast<std::size_t>(e.u)], a_side_[static_cast<std::size_t>(e.v)]};
+  }
+  for (const Edge& e : regular_circulant_edges(b_count, delta_))
     edges.push_back({b_side_[static_cast<std::size_t>(e.u)], b_side_[static_cast<std::size_t>(e.v)]});
   hub_ = a_side_.front();
   boundary_ = b_side_.front();

@@ -31,10 +31,6 @@ Edge nth_pair(NodeId n, std::int64_t idx) {
   return {static_cast<NodeId>(u), static_cast<NodeId>(v)};
 }
 
-bool lex_less(const Edge& a, const Edge& b) {
-  return a.u < b.u || (a.u == b.u && a.v < b.v);
-}
-
 // Incremental pair-index decoder for ascending queries. nth_pair's closed
 // form costs a sqrt and two fix-up loops per call; consecutive birth indices
 // within a tile almost always land in the same row (row u holds n-1-u
@@ -122,7 +118,7 @@ EdgeMarkovianNetwork::EdgeMarkovianNetwork(NodeId n, double p, double q, std::ui
 }
 
 void EdgeMarkovianNetwork::advance(std::uint64_t step) {
-  const std::vector<Edge>& current = topo_.current().edges();  // pair-index sorted
+  const std::vector<Edge>& current = topo_.current_edges();  // pair-index sorted
   const std::int64_t total = static_cast<std::int64_t>(n_) * (n_ - 1) / 2;
   const std::int64_t tiles = std::max<std::int64_t>(1, (total + kPairsPerTile - 1) / kPairsPerTile);
   tile_removed_.resize(static_cast<std::size_t>(tiles));
@@ -140,12 +136,12 @@ void EdgeMarkovianNetwork::advance(std::uint64_t step) {
     const Edge boundary = nth_pair(n_, t * kPairsPerTile);
     std::ptrdiff_t stride = 1;
     auto hi = found;
-    while (current.end() - hi > stride && lex_less(hi[stride], boundary)) {
+    while (current.end() - hi > stride && hi[stride] < boundary) {
       hi += stride;
       stride *= 2;
     }
-    found = std::lower_bound(hi, current.end() - hi > stride ? hi + stride : current.end(),
-                             boundary, lex_less);
+    found =
+        std::lower_bound(hi, current.end() - hi > stride ? hi + stride : current.end(), boundary);
     tile_edge_start_[static_cast<std::size_t>(t)] = found - current.begin();
   }
   tile_edge_start_[static_cast<std::size_t>(tiles)] = static_cast<std::int64_t>(current.size());
@@ -200,7 +196,7 @@ void EdgeMarkovianNetwork::advance(std::uint64_t step) {
     PairCursor cursor(n_);
     geometric_skip(rng, p_, lo, hi, [&](std::int64_t idx) {
       const Edge e = cursor.at(idx);
-      while (it != end && lex_less(*it, e)) ++it;
+      while (it != end && *it < e) ++it;
       if (it != end && *it == e) return;  // already an edge
       added.push_back(e);
     });

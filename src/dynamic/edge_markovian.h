@@ -64,7 +64,7 @@ class EdgeMarkovianNetwork final : public EvolvingNetwork {
   // grows).
   std::vector<std::vector<Edge>> tile_removed_;
   std::vector<std::vector<Edge>> tile_added_;
-  std::vector<std::int64_t> tile_edge_start_;  // per-tile [begin, end) into edges(), searched
+  std::vector<std::int64_t> tile_edge_start_;  // per-tile [begin, end) into the edge list
   std::vector<Edge> removed_;
   std::vector<Edge> added_;
 };

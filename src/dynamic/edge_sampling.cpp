@@ -14,13 +14,13 @@ EdgeSamplingNetwork::EdgeSamplingNetwork(Graph base, double p, std::uint64_t see
 }
 
 void EdgeSamplingNetwork::advance(std::uint64_t) {
-  // A subset of the base graph's normalized sorted edge list is itself
-  // normalized and sorted, so the snapshot needs no sorting at all.
+  // One draw per base edge, in edges() order. That order is normalized and
+  // sorted, and so is any subset of it, so the snapshot needs no sorting.
   std::vector<Edge> kept;
   kept.reserve(static_cast<std::size_t>(static_cast<double>(base_.edge_count()) * p_) + 8);
-  for (const Edge& e : base_.edges()) {
-    if (rng_.flip(p_)) kept.push_back(e);
-  }
+  base_.for_each_edge([&](NodeId u, NodeId v) {
+    if (rng_.flip(p_)) kept.push_back({u, v});
+  });
   topo_.rebuild_presorted(std::move(kept));
 }
 

@@ -101,6 +101,9 @@ void MobileGeometricNetwork::rebuild() {
   // for the overlapping windows of cells < 3, dedupes) the concatenation, so
   // the snapshot is byte-identical to the serial scan's.
   const double r2 = radius_ * radius_;
+  // Cell coordinate c + d for d in {-1, 0, 1}, wrapped onto the torus by
+  // compare-and-select: |d| <= 1 <= cells, so one correction suffices.
+  auto wrap = [cells](int c) { return c < 0 ? c + cells : (c >= cells ? c - cells : c); };
   row_edges_.resize(cells_sz);
   run_tiles(cells, [&](std::int64_t row) {
     std::vector<Edge>& out = row_edges_[static_cast<std::size_t>(row)];
@@ -112,11 +115,9 @@ void MobileGeometricNetwork::rebuild() {
       const std::int64_t here_hi = cell_start_[here_cell + 1];
       if (here_lo == here_hi) continue;
       for (int dy = -1; dy <= 1; ++dy) {
+        const auto there_row = static_cast<std::size_t>(wrap(cy + dy)) * cells_sz;
         for (int dx = -1; dx <= 1; ++dx) {
-          const int ox = ((cx + dx) % cells + cells) % cells;
-          const int oy = ((cy + dy) % cells + cells) % cells;
-          const auto there_cell =
-              static_cast<std::size_t>(oy) * cells_sz + static_cast<std::size_t>(ox);
+          const auto there_cell = there_row + static_cast<std::size_t>(wrap(cx + dx));
           const std::int64_t there_lo = cell_start_[there_cell];
           const std::int64_t there_hi = cell_start_[there_cell + 1];
           for (std::int64_t i = here_lo; i < here_hi; ++i) {

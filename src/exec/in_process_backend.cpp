@@ -159,7 +159,6 @@ RunnerReport run_trials(const NetworkFactory& factory, const RunnerOptions& opti
 
   RunnerReport report;
   report.trials = options.trials;
-  if (options.keep_per_trial) report.per_trial.reserve(static_cast<std::size_t>(options.trials));
 
   std::vector<SpreadResult> chunk_results(static_cast<std::size_t>(
       std::min(chunk, options.trials)));
@@ -179,8 +178,8 @@ RunnerReport run_trials(const NetworkFactory& factory, const RunnerOptions& opti
         });
 
     // Aggregate and stream this chunk in trial order on the calling thread;
-    // results not explicitly retained are dropped here, which bounds peak
-    // memory at O(chunk · n) instead of O(trials · n).
+    // results are dropped here, which bounds peak memory at O(chunk · n)
+    // instead of O(trials · n).
     for (int i = 0; i < chunk_size; ++i) {
       SpreadResult& result = chunk_results[static_cast<std::size_t>(i)];
       if (result.completed) {
@@ -194,9 +193,6 @@ RunnerReport run_trials(const NetworkFactory& factory, const RunnerOptions& opti
         report.theorem13_crossing.add(static_cast<double>(result.theorem13_crossing));
       if (options.trial_sink)
         options.trial_sink(options.trial_offset + chunk_begin + i, result);
-      if (options.keep_per_trial) {
-        report.per_trial.push_back(std::move(result));
-      }
       result = SpreadResult{};  // release flags/trace memory before the next chunk
     }
     if (options.progress) options.progress(chunk_end, options.trials);

@@ -49,7 +49,9 @@ Graph make_complete_bipartite(NodeId a, NodeId b) {
   return Graph(a + b, std::move(edges));
 }
 
-Graph make_circulant(NodeId n, const std::vector<NodeId>& offsets) {
+namespace {
+
+std::vector<Edge> circulant_edges(NodeId n, const std::vector<NodeId>& offsets) {
   DG_REQUIRE(n >= 3, "circulant needs at least three nodes");
   std::vector<NodeId> sorted = offsets;
   std::sort(sorted.begin(), sorted.end());
@@ -57,6 +59,10 @@ Graph make_circulant(NodeId n, const std::vector<NodeId>& offsets) {
     DG_REQUIRE(sorted[i] >= 1 && sorted[i] <= n / 2, "circulant offsets must lie in [1, n/2]");
     DG_REQUIRE(i == 0 || sorted[i] != sorted[i - 1], "circulant offsets must be distinct");
   }
+  // No edge repeats: a pair's circular distance is its offset, so distinct
+  // offsets give disjoint edge sets; within an offset o < n/2 the n pairs
+  // {u, u+o} are distinct, and the antipodal branch emits each of its n/2
+  // pairs once. Left unsorted for the Graph constructor's radix sort.
   std::vector<Edge> edges;
   for (NodeId o : sorted) {
     if (2 * o == n) {
@@ -65,22 +71,20 @@ Graph make_circulant(NodeId n, const std::vector<NodeId>& offsets) {
     } else {
       for (NodeId u = 0; u < n; ++u) {
         const NodeId v = static_cast<NodeId>((u + o) % n);
-        if (u < v)
-          edges.push_back({u, v});
-        else
-          edges.push_back({v, u});
+        edges.push_back({std::min(u, v), std::max(u, v)});
       }
     }
   }
-  // Deduplicate (wrap-around can emit each non-antipodal edge twice only if
-  // offsets were not canonical, which the checks above rule out).
-  std::sort(edges.begin(), edges.end(),
-            [](const Edge& a, const Edge& b) { return a.u < b.u || (a.u == b.u && a.v < b.v); });
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return Graph(n, std::move(edges));
+  return edges;
 }
 
-Graph make_regular_circulant(NodeId n, NodeId d) {
+}  // namespace
+
+Graph make_circulant(NodeId n, const std::vector<NodeId>& offsets) {
+  return Graph(n, circulant_edges(n, offsets));
+}
+
+std::vector<Edge> regular_circulant_edges(NodeId n, NodeId d) {
   DG_REQUIRE(n >= 3, "need at least three nodes");
   DG_REQUIRE(d >= 2 && d < n, "degree must lie in [2, n-1]");
   std::vector<NodeId> offsets;
@@ -93,19 +97,22 @@ Graph make_regular_circulant(NodeId n, NodeId d) {
     for (NodeId o = 1; o <= (d - 1) / 2; ++o) offsets.push_back(o);
     offsets.push_back(n / 2);
   }
-  Graph g = make_circulant(n, offsets);
+  return circulant_edges(n, offsets);
+}
+
+Graph make_regular_circulant(NodeId n, NodeId d) {
+  Graph g(n, regular_circulant_edges(n, d));
   DG_ENSURE(g.min_degree() == d && g.max_degree() == d, "circulant is not d-regular");
   return g;
 }
 
-Graph make_hub_circulant(NodeId m, NodeId d_hub) {
+std::vector<Edge> hub_circulant_edges(NodeId m, NodeId d_hub) {
   DG_REQUIRE(m >= 9, "hub circulant needs at least nine nodes");
   DG_REQUIRE(d_hub >= 4 && d_hub % 2 == 0, "hub degree must be even and >= 4");
   DG_REQUIRE(d_hub <= m - 5, "hub degree too large for the rewiring to stay simple");
 
   // Base: {1,2}-circulant, 4-regular and connected.
-  Graph base = make_circulant(m, {1, 2});
-  std::vector<Edge> edges = base.edges();
+  std::vector<Edge> edges = circulant_edges(m, {1, 2});
 
   // Remove (d_hub - 4) / 2 disjoint edges {i, i+1} with i = 4, 6, 8, ... and
   // reconnect both endpoints to the hub (node 0). Endpoints keep their degree,
@@ -113,22 +120,19 @@ Graph make_hub_circulant(NodeId m, NodeId d_hub) {
   // from the hub's circulant neighbours {1, 2, m-2, m-1}.
   const NodeId ops = (d_hub - 4) / 2;
   DG_REQUIRE(4 + 2 * (ops - 1) + 1 <= m - 3 || ops == 0, "not enough room for hub rewiring");
-  auto remove_edge = [&edges](NodeId a, NodeId b) {
-    if (a > b) std::swap(a, b);
-    const Edge target{a, b};
-    auto it = std::find(edges.begin(), edges.end(), target);
-    DG_ASSERT(it != edges.end(), "edge scheduled for removal not present");
-    edges.erase(it);
-  };
   for (NodeId j = 0; j < ops; ++j) {
     const NodeId a = static_cast<NodeId>(4 + 2 * j);
     const NodeId b = static_cast<NodeId>(a + 1);
-    remove_edge(a, b);
+    const auto removed = std::erase(edges, Edge{a, b});
+    DG_ASSERT(removed == 1, "edge scheduled for removal not present");
     edges.push_back({0, a});
     edges.push_back({0, b});
   }
+  return edges;
+}
 
-  Graph g(m, std::move(edges));
+Graph make_hub_circulant(NodeId m, NodeId d_hub) {
+  Graph g(m, hub_circulant_edges(m, d_hub));
   DG_ENSURE(g.degree(0) == d_hub, "hub degree mismatch after rewiring");
   for (NodeId u = 1; u < m; ++u) DG_ENSURE(g.degree(u) == 4, "non-hub degree disturbed");
   DG_ENSURE(is_connected(g), "hub circulant must stay connected");

@@ -47,6 +47,12 @@ Graph make_regular_circulant(NodeId n, NodeId d);
 // {0, a_i}, {0, b_i}, which preserves all other degrees and connectivity.
 Graph make_hub_circulant(NodeId m, NodeId d_hub);
 
+// The normalized, unsorted edge lists make_regular_circulant and
+// make_hub_circulant build from: for callers that relabel them into a larger
+// graph.
+std::vector<Edge> regular_circulant_edges(NodeId n, NodeId d);
+std::vector<Edge> hub_circulant_edges(NodeId m, NodeId d_hub);
+
 // Figure 1(a), G(0): clique on nodes 0..n-1 with a pendant node n attached to
 // node `attach`. Total n+1 nodes.
 Graph make_pendant_clique(NodeId n, NodeId attach = 0);

@@ -14,8 +14,9 @@ std::int64_t cut_size(const Graph& g, const std::vector<bool>& in_s) {
   DG_REQUIRE(in_s.size() == static_cast<std::size_t>(g.node_count()),
              "membership size must equal node count");
   std::int64_t cut = 0;
-  for (const Edge& e : g.edges())
-    if (in_s[static_cast<std::size_t>(e.u)] != in_s[static_cast<std::size_t>(e.v)]) ++cut;
+  g.for_each_edge([&](NodeId u, NodeId v) {
+    if (in_s[static_cast<std::size_t>(u)] != in_s[static_cast<std::size_t>(v)]) ++cut;
+  });
   return cut;
 }
 
@@ -47,11 +48,9 @@ double exact_conductance(const Graph& g) {
     if (vol_min == 0) continue;  // isolated side contributes nothing
 
     std::int64_t cut = 0;
-    for (const Edge& e : g.edges()) {
-      const bool su = (mask >> e.u) & 1u;
-      const bool sv = (mask >> e.v) & 1u;
-      if (su != sv) ++cut;
-    }
+    g.for_each_edge([&](NodeId u, NodeId v) {
+      if (((mask >> u) & 1u) != ((mask >> v) & 1u)) ++cut;
+    });
     best = std::min(best, static_cast<double>(cut) / static_cast<double>(vol_min));
   }
   return best;
@@ -103,15 +102,16 @@ ConductanceBounds spectral_conductance_bounds(const Graph& g, int iterations) {
 
   double mu_shifted = 0.0;  // eigenvalue of (M + I)/2 restricted to top^⊥
   for (int it = 0; it < iterations; ++it) {
-    // y = (M x + x) / 2
+    // y = (M x + x) / 2, accumulated edge by edge in edges() order — the
+    // summation order the bounds goldens were recorded with.
     for (std::size_t i = 0; i < nn; ++i) y[i] = x[i];
-    for (const Edge& e : g.edges()) {
-      const auto u = static_cast<std::size_t>(e.u);
-      const auto v = static_cast<std::size_t>(e.v);
+    g.for_each_edge([&](NodeId a, NodeId b) {
+      const auto u = static_cast<std::size_t>(a);
+      const auto v = static_cast<std::size_t>(b);
       const double w = inv_sqrt_deg[u] * inv_sqrt_deg[v];
       y[u] += w * x[v];
       y[v] += w * x[u];
-    }
+    });
     for (auto& t : y) t *= 0.5;
     deflate(y);
     mu_shifted = normalize(y);

@@ -25,12 +25,12 @@ double cut_diligence(const Graph& g, const std::vector<bool>& in_s) {
   const double dbar = static_cast<double>(vol_s) / static_cast<double>(size_s);
 
   double best = std::numeric_limits<double>::infinity();
-  for (const Edge& e : g.edges()) {
-    if (in_s[static_cast<std::size_t>(e.u)] == in_s[static_cast<std::size_t>(e.v)]) continue;
-    const double du = g.degree(e.u);
-    const double dv = g.degree(e.v);
+  g.for_each_edge([&](NodeId u, NodeId v) {
+    if (in_s[static_cast<std::size_t>(u)] == in_s[static_cast<std::size_t>(v)]) return;
+    const double du = g.degree(u);
+    const double dv = g.degree(v);
     best = std::min(best, std::max(dbar / du, dbar / dv));
-  }
+  });
   return best;
 }
 
@@ -66,11 +66,11 @@ double exact_diligence(const Graph& g) {
 double absolute_diligence(const Graph& g) {
   if (g.edge_count() == 0) return 0.0;
   double best = std::numeric_limits<double>::infinity();
-  for (const Edge& e : g.edges()) {
-    const double du = g.degree(e.u);
-    const double dv = g.degree(e.v);
+  g.for_each_edge([&](NodeId u, NodeId v) {
+    const double du = g.degree(u);
+    const double dv = g.degree(v);
     best = std::min(best, std::max(1.0 / du, 1.0 / dv));
-  }
+  });
   return best;
 }
 

@@ -12,7 +12,7 @@ std::atomic<std::uint64_t> g_next_version{1};
 
 // How many edges ahead the CSR fill's scatter passes prefetch. Both passes
 // write at a random v, so at large n nearly every write misses. Timed over
-// build_csr on random sorted edge lists on a 4-vCPU x86 VM, D = 8..128 all
+// the CSR fill on random sorted edge lists on a 4-vCPU x86 VM, D = 8..128 all
 // cut the fill 1.7-2x at n = 2·10^4, m = 2.1·10^5 and at n = 10^6,
 // m = 4·10^6; 16, 32 and 64 form the plateau at both sizes and 32 sits in
 // its middle.
@@ -71,12 +71,9 @@ void canonicalize_edges(NodeId n, std::vector<Edge>& edges, bool dedupe, std::ve
     DG_REQUIRE(e.u != e.v, "self-loops are not allowed in a simple graph");
     if (e.u > e.v) std::swap(e.u, e.v);
   }
-  // Deterministic generators (cliques, stars, circulants) emit edges already
-  // in lexicographic order; one cheap scan then skips both scatter passes.
-  const bool sorted = std::is_sorted(
-      edges.begin(), edges.end(),
-      [](const Edge& a, const Edge& b) { return a.u < b.u || (a.u == b.u && a.v < b.v); });
-  if (!sorted) radix_sort_edges(n, edges, tmp, count);
+  // Deterministic generators (cliques, stars, paths) emit edges already in
+  // lexicographic order; one cheap scan then skips both scatter passes.
+  if (!std::is_sorted(edges.begin(), edges.end())) radix_sort_edges(n, edges, tmp, count);
   if (dedupe) {
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   } else {
@@ -87,23 +84,20 @@ void canonicalize_edges(NodeId n, std::vector<Edge>& edges, bool dedupe, std::ve
 
 }  // namespace detail
 
-Graph::Graph(NodeId n, std::vector<Edge> edges)
-    : n_(n), edges_(std::move(edges)), version_(g_next_version.fetch_add(1)) {
+Graph::Graph(NodeId n, std::vector<Edge> edges) {
   DG_REQUIRE(n >= 0, "node count must be non-negative");
-  std::vector<Edge> tmp;
-  std::vector<std::int64_t> count;
-  detail::canonicalize_edges(n_, edges_, /*dedupe=*/false, tmp, count);
-  build_csr();
+  {
+    // Scoped so the sort scratch is freed before the CSR is allocated.
+    std::vector<Edge> tmp;
+    std::vector<std::int64_t> count;
+    detail::canonicalize_edges(n, edges, /*dedupe=*/false, tmp, count);
+  }
+  fill(n, edges);
 }
 
-void Graph::refresh(NodeId n) {
-  DG_REQUIRE(n >= 0, "node count must be non-negative");
+void Graph::fill(NodeId n, std::span<const Edge> edges) {
   n_ = n;
   version_ = g_next_version.fetch_add(1);
-  build_csr();
-}
-
-void Graph::build_csr() {
   // offsets_ is one entry longer while it fills: node x's degree is counted
   // at x + 2, so after the prefix sum offsets_[x + 1] is x's row start and
   // serves as x's append cursor. Once every neighbour is appended, each
@@ -121,12 +115,12 @@ void Graph::build_csr() {
   // every stored edge, and the cursor is checked against 2m.
   constexpr std::size_t kAhead = kFillPrefetchDistance;
   const std::size_t nsz = static_cast<std::size_t>(n_);
-  const std::size_t m = edges_.size();
-  auto v_of = [&](std::size_t i) { return static_cast<std::size_t>(edges_[i].v); };
+  const std::size_t m = edges.size();
+  auto v_of = [&](std::size_t i) { return static_cast<std::size_t>(edges[i].v); };
   offsets_.assign(nsz + 2, 0);
   for (std::size_t i = 0; i < m; ++i) {
     if (i + kAhead < m) prefetch_for_write(offsets_.data() + v_of(i + kAhead) + 2);
-    ++offsets_[static_cast<std::size_t>(edges_[i].u) + 2];
+    ++offsets_[static_cast<std::size_t>(edges[i].u) + 2];
     ++offsets_[v_of(i) + 2];
   }
   min_degree_ = n_ > 0 ? static_cast<NodeId>(offsets_[2]) : 0;
@@ -150,12 +144,19 @@ void Graph::build_csr() {
       const auto k = static_cast<std::size_t>(offsets_[v_of(i + kAhead / 2) + 1]);
       if (k < adjacency_.size()) prefetch_for_write(adjacency_.data() + k);
     }
-    adjacency_[static_cast<std::size_t>(offsets_[v_of(i) + 1]++)] = edges_[i].u;
+    adjacency_[static_cast<std::size_t>(offsets_[v_of(i) + 1]++)] = edges[i].u;
   }
-  for (const Edge& e : edges_) {
+  for (const Edge& e : edges) {
     adjacency_[static_cast<std::size_t>(offsets_[static_cast<std::size_t>(e.u) + 1]++)] = e.v;
   }
   offsets_.pop_back();
+}
+
+std::vector<Edge> Graph::edges() const {
+  std::vector<Edge> out;
+  out.reserve(static_cast<std::size_t>(edge_count()));
+  for_each_edge([&](NodeId u, NodeId v) { out.push_back({u, v}); });
+  return out;
 }
 
 NodeId Graph::degree(NodeId u) const {

@@ -5,6 +5,10 @@
 // carries a process-unique version number so simulation engines can detect "the
 // topology actually changed at this step" with a single integer compare.
 //
+// The CSR is the only stored form. The constructor canonicalizes its edge
+// list, fills the CSR from it and drops it; edges() reads the list back from
+// the rows, and per-pass readers walk that order with for_each_edge.
+//
 // Construction is O(n + m): edges are normalized and ordered with two stable
 // counting-sort passes (by v, then by u), and the CSR is filled straight from
 // the sorted list — degrees counted at both endpoints, a prefix sum, then two
@@ -19,10 +23,11 @@
 // perfbench's layer split relies on that: it prices the delta merge as
 // apply_delta_sorted minus rebuild_presorted. Dynamic families that rebuild
 // topologies every change-point should go through graph/topology.h's
-// TopologyBuilder, which recycles snapshot buffers and supports delta
-// rebuilds against the previous snapshot.
+// TopologyBuilder, which recycles snapshot buffers and keeps the only edge
+// lists, for delta rebuilds against the previous snapshot.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,10 +36,14 @@ namespace rumor {
 
 using NodeId = std::int32_t;
 
+// Ordered (u, v)-lexicographically: the order of every stored edge list.
 struct Edge {
   NodeId u = 0;
   NodeId v = 0;
   friend bool operator==(const Edge&, const Edge&) = default;
+  friend bool operator<(const Edge& a, const Edge& b) {
+    return a.u < b.u || (a.u == b.u && a.v < b.v);
+  }
 };
 
 // Borrowed raw view of a graph's CSR arrays, for engine hot loops that want
@@ -76,7 +85,7 @@ class Graph {
   Graph(NodeId n, std::vector<Edge> edges);
 
   NodeId node_count() const { return n_; }
-  std::int64_t edge_count() const { return static_cast<std::int64_t>(edges_.size()); }
+  std::int64_t edge_count() const { return static_cast<std::int64_t>(adjacency_.size() / 2); }
 
   // Degree of node u.
   NodeId degree(NodeId u) const;
@@ -87,8 +96,21 @@ class Graph {
   // Borrowed raw CSR arrays for engine hot paths (no per-call checks).
   CsrView csr() const { return {offsets_.data(), adjacency_.data(), n_}; }
 
-  // Normalized (u < v) edges in lexicographic order.
-  const std::vector<Edge>& edges() const { return edges_; }
+  // Normalized (u < v) edges in lexicographic order, read back from the rows:
+  // an O(m) copy on every call. Per-pass readers use for_each_edge.
+  std::vector<Edge> edges() const;
+
+  // Calls fn(u, v) for every edge in edges() order — rows u ascending, and in
+  // each row the neighbours v > u ascending — without materializing the list.
+  template <typename Fn>
+  void for_each_edge(Fn&& fn) const {
+    const CsrView g = csr();
+    for (NodeId u = 0; u < n_; ++u) {
+      const std::span<const NodeId> row = g.neighbors(u);
+      const auto above = std::upper_bound(row.begin(), row.end(), u);
+      for (auto it = above; it != row.end(); ++it) fn(u, *it);
+    }
+  }
 
   // Sum of all degrees (= 2m), the paper's vol(G).
   std::int64_t volume() const { return 2 * edge_count(); }
@@ -105,17 +127,12 @@ class Graph {
  private:
   friend class TopologyBuilder;
 
-  // Re-initializes in place from edges_, which TopologyBuilder has just
-  // written (normalized, sorted, duplicate-free), with a fresh version. The
-  // CSR arrays keep their capacity, so a snapshot slot rebuilt every
-  // change-point stops allocating once it has grown.
-  void refresh(NodeId n);
-
-  // CSR fill straight from the sorted edge list: O(n + m), no scratch.
-  void build_csr();
+  // Fills the CSR in place from a canonical edge list, with a fresh version:
+  // O(n + m), no scratch. The arrays keep their capacity, so a builder slot
+  // refilled every change-point stops allocating once it has grown.
+  void fill(NodeId n, std::span<const Edge> edges);
 
   NodeId n_ = 0;
-  std::vector<Edge> edges_;
   std::vector<std::int64_t> offsets_;  // CSR offsets, size n+1
   std::vector<NodeId> adjacency_;      // CSR neighbor array, size 2m
   NodeId min_degree_ = 0;

@@ -40,8 +40,7 @@ std::vector<Edge> build_hk_edges(Rng& rng, const std::vector<NodeId>& a_side,
   // 2. Expanders on the remainders: random 4-regular graphs (expanders whp).
   auto add_expander = [&](const std::vector<NodeId>& members) {
     const auto m = static_cast<NodeId>(members.size());
-    Graph ex = random_regular(rng, m, 4);
-    for (const Edge& e : ex.edges())
+    for (const Edge& e : random_regular_edges(rng, m, 4))
       edges.push_back({members[static_cast<std::size_t>(e.u)],
                        members[static_cast<std::size_t>(e.v)]});
   };

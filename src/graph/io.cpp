@@ -11,7 +11,7 @@ namespace rumor {
 
 void write_edge_list(std::ostream& os, const Graph& g) {
   os << "n " << g.node_count() << "\n";
-  for (const Edge& e : g.edges()) os << e.u << " " << e.v << "\n";
+  g.for_each_edge([&](NodeId u, NodeId v) { os << u << " " << v << "\n"; });
 }
 
 namespace {

@@ -20,11 +20,11 @@ Pair normalize(NodeId a, NodeId b) { return a < b ? Pair{a, b} : Pair{b, a}; }
 
 }  // namespace
 
-Graph random_regular(Rng& rng, NodeId n, NodeId d) {
+std::vector<Edge> random_regular_edges(Rng& rng, NodeId n, NodeId d) {
   DG_REQUIRE(n >= 1, "need at least one node");
   DG_REQUIRE(d >= 0 && d < n, "degree must lie in [0, n-1]");
   DG_REQUIRE((static_cast<std::int64_t>(n) * d) % 2 == 0, "n*d must be even");
-  if (d == 0) return Graph(n, {});
+  if (d == 0) return {};
 
   // Configuration model: d stubs per node, paired by a random shuffle.
   std::vector<NodeId> stubs;
@@ -75,7 +75,11 @@ Graph random_regular(Rng& rng, NodeId n, NodeId d) {
   std::vector<Edge> edges;
   edges.reserve(pairs.size());
   for (const auto& p : pairs) edges.push_back({p.first, p.second});
-  Graph g(n, std::move(edges));
+  return edges;
+}
+
+Graph random_regular(Rng& rng, NodeId n, NodeId d) {
+  Graph g(n, random_regular_edges(rng, n, d));
   DG_ENSURE(g.min_degree() == d && g.max_degree() == d, "configuration model not d-regular");
   return g;
 }

@@ -16,6 +16,10 @@ namespace rumor {
 // exactly (every node keeps degree d). Requires n*d even, 0 <= d < n.
 Graph random_regular(Rng& rng, NodeId n, NodeId d);
 
+// random_regular's edge list, unsorted, from the same draws: for callers that
+// relabel it into a larger graph.
+std::vector<Edge> random_regular_edges(Rng& rng, NodeId n, NodeId d);
+
 // Erdős–Rényi G(n, p).
 Graph erdos_renyi(Rng& rng, NodeId n, double p);
 

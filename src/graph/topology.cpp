@@ -9,10 +9,6 @@ namespace rumor {
 
 namespace {
 
-bool edge_less(const Edge& a, const Edge& b) {
-  return a.u < b.u || (a.u == b.u && a.v < b.v);
-}
-
 // Two-pointer symmetric difference of two normalized, lexicographically
 // sorted, duplicate-free edge lists: edges only in `before` land in
 // `removed`, edges only in `after` land in `added` (both cleared first, both
@@ -24,9 +20,9 @@ void edge_symmetric_difference(const std::vector<Edge>& before, const std::vecto
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < before.size() || j < after.size()) {
-    if (j == after.size() || (i < before.size() && edge_less(before[i], after[j]))) {
+    if (j == after.size() || (i < before.size() && before[i] < after[j])) {
       removed.push_back(before[i++]);
-    } else if (i == before.size() || edge_less(after[j], before[i])) {
+    } else if (i == before.size() || after[j] < before[i]) {
       added.push_back(after[j++]);
     } else {
       ++i;
@@ -46,13 +42,18 @@ const Graph& TopologyBuilder::current() const {
   return graphs_[live_];
 }
 
+const std::vector<Edge>& TopologyBuilder::current_edges() const {
+  DG_REQUIRE(has_snapshot_, "TopologyBuilder has no snapshot yet");
+  return edges_[live_];
+}
+
 const Graph& TopologyBuilder::publish(DeltaSource source) {
   // The slot being overwritten is the snapshot from two rebuilds ago; nobody
   // may hold a reference to it any more (graph_at's one-step validity
-  // contract), so it is rebuilt in place around the edges just written into
-  // it, keeping its CSR capacity.
+  // contract), so it is refilled in place from the edges just written into
+  // its list, keeping its CSR capacity.
   const int next = 1 - live_;
-  graphs_[next].refresh(n_);
+  graphs_[next].fill(n_, edges_[next]);
   live_ = next;
   delta_source_ = has_snapshot_ ? source : DeltaSource::none;
   has_snapshot_ = true;
@@ -62,8 +63,7 @@ const Graph& TopologyBuilder::publish(DeltaSource source) {
 std::optional<TopologyDelta> TopologyBuilder::last_delta() const {
   if (delta_source_ == DeltaSource::none) return std::nullopt;
   if (delta_source_ == DeltaSource::slots) {
-    edge_symmetric_difference(graphs_[1 - live_].edges_, graphs_[live_].edges_, diff_removed_,
-                              diff_added_);
+    edge_symmetric_difference(edges_[1 - live_], edges_[live_], diff_removed_, diff_added_);
     delta_removed_ = diff_removed_;
     delta_added_ = diff_added_;
     delta_source_ = DeltaSource::spans;
@@ -73,7 +73,7 @@ std::optional<TopologyDelta> TopologyBuilder::last_delta() const {
 
 const Graph& TopologyBuilder::rebuild(std::vector<Edge> edges, bool dedupe) {
   detail::canonicalize_edges(n_, edges, dedupe, scratch_tmp_, scratch_count_);
-  graphs_[1 - live_].edges_ = std::move(edges);
+  edges_[1 - live_] = std::move(edges);
   return publish(DeltaSource::slots);
 }
 
@@ -82,11 +82,10 @@ const Graph& TopologyBuilder::rebuild_presorted(std::vector<Edge> edges) {
   for (std::size_t i = 0; i < edges.size(); ++i) {
     DG_ASSERT(edges[i].u >= 0 && edges[i].u < edges[i].v && edges[i].v < n_,
               "presorted edges must be normalized and in range");
-    DG_ASSERT(i == 0 || edge_less(edges[i - 1], edges[i]),
-              "presorted edges must be strictly increasing");
+    DG_ASSERT(i == 0 || edges[i - 1] < edges[i], "presorted edges must be strictly increasing");
   }
 #endif
-  graphs_[1 - live_].edges_ = std::move(edges);
+  edges_[1 - live_] = std::move(edges);
   return publish(DeltaSource::slots);
 }
 
@@ -99,7 +98,7 @@ const Graph& TopologyBuilder::apply_delta_sorted(std::span<const Edge> removed,
     for (std::size_t i = 0; i < delta.size(); ++i) {
       DG_REQUIRE(delta[i].u >= 0 && delta[i].u < delta[i].v && delta[i].v < n_,
                  "sorted delta edges must be normalized and in range");
-      DG_REQUIRE(i == 0 || edge_less(delta[i - 1], delta[i]),
+      DG_REQUIRE(i == 0 || delta[i - 1] < delta[i],
                  "sorted delta edges must be strictly increasing");
     }
   }
@@ -114,12 +113,11 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
   delta_source_ = DeltaSource::none;
   delta_removed_ = removed;
   delta_added_ = added;
-  const std::vector<Edge>& old = graphs_[live_].edges_;
-  // The merge writes straight into the other slot's edge buffer, which holds
+  const std::vector<Edge>& old = edges_[live_];
+  // The merge writes straight into the other slot's edge list, which holds
   // the snapshot from two rebuilds ago and so already has about m entries of
-  // capacity; publish() then rebuilds that slot in place.
-  Graph& slot = graphs_[1 - live_];
-  std::vector<Edge>& merged = slot.edges_;
+  // capacity; publish() then refills that slot's Graph in place.
+  std::vector<Edge>& merged = edges_[1 - live_];
 
   // Parallel path: cut the old edge list into fixed-width tiles and weave
   // each tile independently. All three lists are strictly increasing, so a
@@ -147,8 +145,7 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
         if (boundary == 0) return std::int64_t{0};
         if (boundary >= m) return static_cast<std::int64_t>(delta.size());
         return static_cast<std::int64_t>(
-            std::lower_bound(delta.begin(), delta.end(), old[static_cast<std::size_t>(boundary)],
-                             edge_less) -
+            std::lower_bound(delta.begin(), delta.end(), old[static_cast<std::size_t>(boundary)]) -
             delta.begin());
       };
       const std::int64_t r_hi = split(removed, hi);
@@ -160,7 +157,7 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
       bool bad = false;
       for (std::int64_t i = lo; i < hi && !bad; ++i) {
         const Edge& e = old[static_cast<std::size_t>(i)];
-        while (a < a_hi && edge_less(added[static_cast<std::size_t>(a)], e)) {
+        while (a < a_hi && added[static_cast<std::size_t>(a)] < e) {
           if (pos >= pos_end) {
             bad = true;
             break;
@@ -176,7 +173,7 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
           ++r;
           continue;
         }
-        if (r < r_hi && edge_less(removed[static_cast<std::size_t>(r)], e)) {
+        if (r < r_hi && removed[static_cast<std::size_t>(r)] < e) {
           bad = true;  // removed edge not present
           break;
         }
@@ -207,12 +204,12 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
 
   // Single pass: copy old edges, dropping removals and weaving in additions.
   // A violation empties the half-written slot before the error propagates,
-  // so no Graph is left pairing one edge list with another snapshot's CSR.
+  // so no slot is left pairing one edge list with another snapshot's CSR.
   try {
     std::size_t r = 0;
     std::size_t a = 0;
     for (const Edge& e : old) {
-      while (a < added.size() && edge_less(added[a], e)) merged.push_back(added[a++]);
+      while (a < added.size() && added[a] < e) merged.push_back(added[a++]);
       DG_REQUIRE(a >= added.size() || !(added[a] == e), "added edge already present");
       if (r < removed.size() && removed[r] == e) {
         ++r;
@@ -223,7 +220,8 @@ const Graph& TopologyBuilder::merge_delta(std::span<const Edge> removed,
     while (a < added.size()) merged.push_back(added[a++]);
     DG_REQUIRE(r == removed.size(), "removed edge not present in the current snapshot");
   } catch (...) {
-    slot = Graph();
+    merged.clear();
+    graphs_[1 - live_] = Graph();
     throw;
   }
   return publish(DeltaSource::spans);

@@ -5,10 +5,11 @@
 // snapshots. A TopologyBuilder owns that sequence's construction: it keeps the
 // radix-sort scratch buffers alive across change-points, double-buffers the
 // snapshots (the previous Graph stays valid until the next rebuild, matching
-// the DynamicNetwork::graph_at contract), rebuilds the evicted slot in place
-// (a delta merge writes straight into that slot's edge buffer, so a snapshot
-// sequence holds exactly two edge lists and two CSRs), and offers three entry
-// points on a cost gradient:
+// the DynamicNetwork::graph_at contract), and rebuilds the evicted slot in
+// place. It is the one holder of edge lists: each slot pairs a Graph with the
+// sorted list it was filled from (a delta merge writes straight into that
+// list), so a sequence holds exactly two edge lists and two CSRs. It offers
+// three entry points on a cost gradient:
 //
 //  * rebuild(edges)            — full rebuild from an arbitrary edge list,
 //                                canonicalized by the Graph constructor's
@@ -17,7 +18,7 @@
 //  * rebuild_presorted(edges)  — the caller guarantees normalized (u < v),
 //                                lexicographically sorted, duplicate-free
 //                                edges (e.g. a filtered subset of another
-//                                graph's edges()); skips sorting entirely;
+//                                graph's rows); skips sorting entirely;
 //  * apply_delta_sorted(rem, add) — merge the previous snapshot's sorted
 //                                edge list with small sorted removal/addition
 //                                deltas in O(m + |delta|).
@@ -68,6 +69,10 @@ class TopologyBuilder {
   // The latest snapshot; requires at least one rebuild first.
   const Graph& current() const;
 
+  // The canonical edge list current() was filled from: current().edges()
+  // without the copy. Valid until the next publish.
+  const std::vector<Edge>& current_edges() const;
+
   // Full rebuild from an unnormalized edge list. With `dedupe` set, duplicate
   // edges (after normalization) collapse to one instead of being rejected —
   // for families whose generators can emit the same contact twice.
@@ -102,8 +107,8 @@ class TopologyBuilder {
   // Where last_delta() finds the latest publish's delta.
   enum class DeltaSource : std::uint8_t { none, spans, slots };
 
-  // Rebuilds the non-live slot around the edges just written into it, with a
-  // fresh version, and makes it current().
+  // Refills the non-live slot's Graph from the edges just written into its
+  // list, with a fresh version, and makes it current().
   const Graph& publish(DeltaSource source);
   const Graph& merge_delta(std::span<const Edge> removed, std::span<const Edge> added);
 
@@ -111,8 +116,10 @@ class TopologyBuilder {
   bool has_snapshot_ = false;
   // Double buffer: `graphs_[live_]` is current(); the other slot holds the
   // previous snapshot (kept alive for borrowed references) until the next
-  // rebuild overwrites it in place, vector capacity and all.
+  // rebuild overwrites it in place, vector capacity and all. `edges_[i]` is
+  // the canonical list `graphs_[i]` was filled from.
   Graph graphs_[2];
+  std::vector<Edge> edges_[2];
   int live_ = 0;
   std::vector<Edge> scratch_tmp_;
   std::vector<std::int64_t> scratch_count_;

@@ -336,14 +336,6 @@ void emit_summary_json(std::ostream& os, const ExperimentResult& result,
   os << '\n';
 }
 
-void emit_json(std::ostream& os, const ExperimentResult& result,
-               const std::string& build_info) {
-  for (std::size_t i = 0; i < result.report.per_trial.size(); ++i) {
-    emit_trial_json(os, result, static_cast<int>(i), result.report.per_trial[i]);
-  }
-  emit_summary_json(os, result, build_info);
-}
-
 void emit_csv_header(std::ostream& os) {
   os << "scenario,params,engine,protocol,seed,trial,completed,spread_time,"
         "informative_contacts,total_contacts,graph_changes,"
@@ -365,12 +357,6 @@ void emit_trial_csv(std::ostream& os, const ExperimentResult& result, int trial,
      << (r.completed ? 1 : 0) << ',' << json_number(r.spread_time) << ','
      << r.informative_contacts << ',' << r.total_contacts << ',' << r.graph_changes << ','
      << r.theorem11_crossing << ',' << r.theorem13_crossing << '\n';
-}
-
-void emit_csv(std::ostream& os, const ExperimentResult& result) {
-  for (std::size_t i = 0; i < result.report.per_trial.size(); ++i) {
-    emit_trial_csv(os, result, static_cast<int>(i), result.report.per_trial[i]);
-  }
 }
 
 void emit_text(std::ostream& os, const ExperimentResult& result) {

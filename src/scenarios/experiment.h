@@ -50,10 +50,7 @@ using TrialSink =
     std::function<void(const ExperimentResult& partial, int trial, const SpreadResult& r)>;
 
 // Resolves + validates the scenario and runs the trials. Runner options are
-// forwarded verbatim; callers that buffer per-trial records (emit_json /
-// emit_csv) must set runner.keep_per_trial themselves — it retains O(trials
-// x n) memory, which aggregate-only output (emit_text) never reads.
-// Streaming callers pass a sink instead and leave keep_per_trial off.
+// forwarded verbatim; callers that want per-trial records pass a sink.
 ExperimentResult run_experiment(const ExperimentConfig& config, const TrialSink& sink = {});
 
 // Engine/protocol names as used on the command line (accepts '-' and '_'
@@ -200,17 +197,11 @@ void emit_trial_json(std::ostream& os, const ExperimentResult& result, int trial
 void emit_summary_json(std::ostream& os, const ExperimentResult& result,
                        const std::string& build_info);
 
-// JSON lines: one {"record":"trial",...} per trial (from the buffered
-// report.per_trial), then the summary record.
-void emit_json(std::ostream& os, const ExperimentResult& result,
-               const std::string& build_info);
-
-// CSV: a header plus one row per trial; `with_header` lets sweep drivers
-// emit the header once across cells. emit_trial_csv is the streaming form.
+// CSV: a header, then one row per trial from a TrialSink; sweep drivers emit
+// the header once across cells.
 void emit_csv_header(std::ostream& os);
 void emit_trial_csv(std::ostream& os, const ExperimentResult& result, int trial,
                     const SpreadResult& r);
-void emit_csv(std::ostream& os, const ExperimentResult& result);
 
 // Human-readable summary table (the default `rumor_cli run` output).
 void emit_text(std::ostream& os, const ExperimentResult& result);

@@ -2,6 +2,10 @@
 // constructions G(A, Δ) (regular circulant) and G(A, 4, Δ) (hub circulant).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "graph/builders.h"
 #include "graph/connectivity.h"
 
@@ -62,6 +66,28 @@ TEST(Circulant, AntipodalOffsetGivesSingleEdge) {
   const Graph g = make_circulant(6, {3});
   for (NodeId u = 0; u < 6; ++u) EXPECT_EQ(g.degree(u), 1);
   EXPECT_EQ(g.edge_count(), 3);
+}
+
+// make_circulant leaves ordering and the duplicate check to the Graph
+// constructor; small circulants, the antipodal offset n/2 included, must
+// still give exactly the edge set a std::set collects, in sorted order.
+TEST(Circulant, SmallCirculantsMatchSetReference) {
+  const std::vector<std::pair<NodeId, std::vector<NodeId>>> cases = {
+      {3, {1}},    {4, {2}},       {4, {1, 2}},    {5, {1, 2}},    {6, {3}},
+      {6, {1, 3}}, {7, {3, 1, 2}}, {8, {4, 1}},    {9, {2, 4}},    {10, {5, 2, 3}},
+      {12, {6}},   {12, {1, 6, 4}}, {13, {6, 5}}};
+  for (const auto& [n, offsets] : cases) {
+    std::set<std::pair<NodeId, NodeId>> reference;
+    for (const NodeId o : offsets) {
+      for (NodeId u = 0; u < n; ++u) {
+        const NodeId v = (u + o) % n;
+        reference.insert({std::min(u, v), std::max(u, v)});
+      }
+    }
+    std::vector<Edge> expected;
+    for (const auto& [u, v] : reference) expected.push_back({u, v});
+    EXPECT_EQ(make_circulant(n, offsets).edges(), expected) << "n=" << n;
+  }
 }
 
 TEST(Circulant, RejectsBadOffsets) {

@@ -569,11 +569,12 @@ TEST_P(EvolvingDeltaContract, OneStepReportsTheSnapshotDiff) {
   std::size_t changed = 0;
   for (int t = 1; t <= 25; ++t) {
     const Graph& g = net->graph_at(t, inf.view());
+    const std::vector<Edge> now = g.edges();  // one copy: edges() returns by value
     std::vector<Edge> removed;
     std::vector<Edge> added;
-    std::set_difference(prev.begin(), prev.end(), g.edges().begin(), g.edges().end(),
+    std::set_difference(prev.begin(), prev.end(), now.begin(), now.end(),
                         std::back_inserter(removed), edge_less);
-    std::set_difference(g.edges().begin(), g.edges().end(), prev.begin(), prev.end(),
+    std::set_difference(now.begin(), now.end(), prev.begin(), prev.end(),
                         std::back_inserter(added), edge_less);
     for (int call = 0; call < 2; ++call) {  // the step, then a repeat at t
       if (call == 1) {
@@ -585,7 +586,7 @@ TEST_P(EvolvingDeltaContract, OneStepReportsTheSnapshotDiff) {
       EXPECT_EQ(as_vector(delta->added), added) << "t=" << t << " call " << call;
     }
     changed += removed.size() + added.size();
-    prev = g.edges();
+    prev = now;
   }
   EXPECT_GT(changed, 0U);
 

@@ -2,6 +2,10 @@
 // barbells, small worlds, preferential attachment).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "graph/connectivity.h"
 #include "graph/extra_builders.h"
 
@@ -37,6 +41,32 @@ TEST(TorusGrid, FourRegularConnected) {
   EXPECT_EQ(g.max_degree(), 4);
   EXPECT_TRUE(is_connected(g));
   EXPECT_THROW(make_torus_grid(2, 5), std::invalid_argument);
+}
+
+// The builder emits the torus unsorted and leaves ordering and the duplicate
+// check to the Graph constructor; the smallest grids, where the wrap-around
+// neighbours come closest to coinciding, must still give exactly the edge
+// set a std::set collects, in sorted order.
+TEST(TorusGrid, SmallGridsMatchSetReference) {
+  for (const auto& [rows, cols] : std::vector<std::pair<NodeId, NodeId>>{
+           {3, 3}, {3, 4}, {3, 5}, {3, 7}, {4, 3}, {7, 3}, {5, 6}}) {
+    std::set<std::pair<NodeId, NodeId>> reference;
+    for (NodeId r = 0; r < rows; ++r) {
+      for (NodeId c = 0; c < cols; ++c) {
+        const NodeId here = r * cols + c;
+        for (const NodeId there : {r * cols + (c + 1) % cols, ((r + 1) % rows) * cols + c}) {
+          reference.insert({std::min(here, there), std::max(here, there)});
+        }
+      }
+    }
+    std::vector<Edge> expected;
+    for (const auto& [u, v] : reference) expected.push_back({u, v});
+    const Graph g = make_torus_grid(rows, cols);
+    EXPECT_EQ(g.edges(), expected) << rows << "x" << cols;
+    EXPECT_EQ(g.edge_count(), 2 * static_cast<std::int64_t>(rows) * cols) << rows << "x" << cols;
+    EXPECT_EQ(g.min_degree(), 4);
+    EXPECT_EQ(g.max_degree(), 4);
+  }
 }
 
 TEST(TorusGrid, WrapAroundEdgesPresent) {

@@ -356,9 +356,12 @@ std::vector<std::string> fuzz_corpus() {
   config.param_overrides = {{"n", "16"}};
   config.runner.trials = 2;
   config.runner.seed = 3;
-  config.runner.keep_per_trial = true;
   std::ostringstream recording;
-  emit_json(recording, run_experiment(config), "fuzz-build");
+  const ExperimentResult result = run_experiment(
+      config, [&recording](const ExperimentResult& partial, int trial, const SpreadResult& r) {
+        emit_trial_json(recording, partial, trial, r);
+      });
+  emit_summary_json(recording, result, "fuzz-build");
 
   std::vector<std::string> corpus = {
       recording.str(),

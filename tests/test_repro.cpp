@@ -37,10 +37,12 @@ std::string record_cell(const std::string& scenario,
   config.runner.trials = trials;
   config.runner.seed = seed;
   config.runner.threads = threads;
-  config.runner.keep_per_trial = true;
-  const ExperimentResult result = run_experiment(config);
   std::ostringstream os;
-  emit_json(os, result, "test-build");
+  const ExperimentResult result = run_experiment(
+      config, [&os](const ExperimentResult& partial, int trial, const SpreadResult& r) {
+        emit_trial_json(os, partial, trial, r);
+      });
+  emit_summary_json(os, result, "test-build");
   return os.str();
 }
 

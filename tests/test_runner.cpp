@@ -239,21 +239,6 @@ TEST(Runner, ParallelWithBoundTracking) {
   EXPECT_EQ(report.theorem13_crossing.count(), 6u);
 }
 
-TEST(Runner, KeepPerTrialRetainsEveryResultInOrder) {
-  RunnerOptions opt;
-  opt.trials = 5;
-  opt.seed = 13;
-  opt.keep_per_trial = true;
-  const auto report = run_trials(clique_factory(16), opt);
-  ASSERT_EQ(report.per_trial.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_TRUE(report.per_trial[i].completed);
-    EXPECT_DOUBLE_EQ(report.per_trial[i].spread_time, report.spread_time.values()[i]);
-  }
-  opt.keep_per_trial = false;
-  EXPECT_TRUE(run_trials(clique_factory(16), opt).per_trial.empty());
-}
-
 TEST(Runner, FailureProbPassesThroughToEngines) {
   RunnerOptions opt;
   opt.trials = 10;
@@ -283,7 +268,6 @@ TEST(Runner, TrialSinkStreamsInTrialOrder) {
   opt.seed = 21;
   opt.threads = 4;
   opt.chunk_trials = 2;  // force several chunks
-  opt.keep_per_trial = true;
   std::vector<int> order;
   std::vector<double> times;
   opt.trial_sink = [&](int trial, const SpreadResult& r) {
@@ -293,8 +277,9 @@ TEST(Runner, TrialSinkStreamsInTrialOrder) {
   const auto report = run_trials(clique_factory(16), opt);
   ASSERT_EQ(order.size(), 9u);
   for (int i = 0; i < 9; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  ASSERT_EQ(report.completed, 9);  // so spread_time holds every trial, in order
   for (std::size_t i = 0; i < 9; ++i) {
-    EXPECT_DOUBLE_EQ(times[i], report.per_trial[i].spread_time);
+    EXPECT_DOUBLE_EQ(times[i], report.spread_time.values()[i]);
   }
 }
 

@@ -163,12 +163,14 @@ TEST(Experiment, PerTrialRecordsMatchAggregates) {
   config.param_overrides = {{"n", "32"}};
   config.runner.trials = 6;
   config.runner.seed = 11;
-  config.runner.keep_per_trial = true;
-  const ExperimentResult result = run_experiment(config);
-  ASSERT_EQ(result.report.per_trial.size(), 6u);
+  std::vector<SpreadResult> per_trial;
+  const ExperimentResult result =
+      run_experiment(config, [&per_trial](const ExperimentResult&, int, const SpreadResult& r) {
+        per_trial.push_back(r);
+      });
+  ASSERT_EQ(per_trial.size(), 6u);
   std::size_t completed = 0;
-  for (std::size_t i = 0; i < result.report.per_trial.size(); ++i) {
-    const SpreadResult& t = result.report.per_trial[i];
+  for (const SpreadResult& t : per_trial) {
     if (!t.completed) continue;
     EXPECT_DOUBLE_EQ(t.spread_time, result.report.spread_time.values()[completed]);
     ++completed;
@@ -182,13 +184,19 @@ TEST(Experiment, JsonOutputIsDeterministicPerTrial) {
   config.param_overrides = {{"n", "32"}};
   config.runner.trials = 3;
   config.runner.seed = 5;
-  config.runner.keep_per_trial = true;
 
   // Trial records (everything before the summary, whose elapsed-seconds field
   // is wall clock) must be byte-identical across repeated runs.
+  auto emit = [&config](std::ostream& os) {
+    const ExperimentResult result = run_experiment(
+        config, [&os](const ExperimentResult& partial, int trial, const SpreadResult& r) {
+          emit_trial_json(os, partial, trial, r);
+        });
+    emit_summary_json(os, result, "test-build");
+  };
   std::ostringstream a, b;
-  emit_json(a, run_experiment(config), "test-build");
-  emit_json(b, run_experiment(config), "test-build");
+  emit(a);
+  emit(b);
   const std::string sa = a.str(), sb = b.str();
   EXPECT_EQ(sa.substr(0, sa.rfind("{\"record\":\"summary\"")),
             sb.substr(0, sb.rfind("{\"record\":\"summary\"")));
@@ -213,11 +221,11 @@ TEST(Experiment, CsvEmitsOneRowPerTrial) {
   config.scenario = "static_cycle";
   config.param_overrides = {{"n", "16"}};
   config.runner.trials = 4;
-  config.runner.keep_per_trial = true;
-  const ExperimentResult result = run_experiment(config);
   std::ostringstream os;
   emit_csv_header(os);
-  emit_csv(os, result);
+  run_experiment(config, [&os](const ExperimentResult& partial, int trial, const SpreadResult& r) {
+    emit_trial_csv(os, partial, trial, r);
+  });
   std::size_t lines = 0;
   for (char c : os.str()) lines += c == '\n' ? 1u : 0u;
   EXPECT_EQ(lines, 5u);  // header + 4 trials

@@ -347,10 +347,11 @@ TEST(TopologyBuilder_, FillMatchesNaiveAcrossBlockEdges) {
   }
 }
 
-// A delta merge writes into the evicted snapshot's own edge buffer, so after
-// warm-up a builder's snapshots alternate between exactly two edge buffers:
-// no third buffer, and no reallocation while the edge count holds. Checked
-// on the serial weave and on the tiled weave a lent pool drives.
+// A delta merge writes into the evicted slot's edge list, which the builder
+// owns (a Graph keeps only its CSR), so after warm-up the builder's current
+// list alternates between exactly two buffers: no third buffer, and no
+// reallocation while the edge count holds. Checked on the serial weave and on
+// the tiled weave a lent pool drives.
 TEST(TopologyBuilder_, ApplyDeltaReusesTwoEdgeBuffers) {
   // A circulant with 12 chords per node: past kParallelMergeMinEdges, and
   // several merge tiles.
@@ -390,10 +391,11 @@ TEST(TopologyBuilder_, ApplyDeltaReusesTwoEdgeBuffers) {
       const Graph& g =
           topo.apply_delta_sorted(forward ? chords : extra, forward ? extra : chords);
       ASSERT_EQ(g.edge_count(), static_cast<std::int64_t>(base.size()));
+      EXPECT_EQ(topo.current_edges(), g.edges());
       if (!forward) {
         EXPECT_EQ(g.edges(), base);
       }
-      if (step >= 2) buffers.push_back(g.edges().data());  // after warm-up
+      if (step >= 2) buffers.push_back(topo.current_edges().data());  // after warm-up
     }
     for (std::size_t i = 0; i < buffers.size(); ++i) {
       EXPECT_NE(buffers[i], buffers[i ^ 1]) << (lend ? "tiled" : "serial") << " step " << i;

@@ -128,6 +128,15 @@ void expect_results_identical(const SpreadResult& a, const SpreadResult& b) {
   EXPECT_EQ(a.informed, b.informed);
 }
 
+// Every trial's full result, collected in trial order through the sink.
+std::vector<SpreadResult> run_collecting(const ExperimentConfig& config) {
+  std::vector<SpreadResult> per_trial;
+  run_experiment(config, [&per_trial](const ExperimentResult&, int, const SpreadResult& r) {
+    per_trial.push_back(r);
+  });
+  return per_trial;
+}
+
 // Runs one scenario at the given thread counts and requires every per-trial
 // record to match the threads=1 stream bit for bit.
 void check_scenario_determinism(const std::string& scenario,
@@ -139,19 +148,18 @@ void check_scenario_determinism(const std::string& scenario,
   config.runner.engine = engine;
   config.runner.trials = 6;
   config.runner.seed = 20260726;
-  config.runner.keep_per_trial = true;
   config.runner.threads = 1;
-  const ExperimentResult base = run_experiment(config);
-  ASSERT_EQ(base.report.per_trial.size(), 6u) << scenario;
+  const std::vector<SpreadResult> base = run_collecting(config);
+  ASSERT_EQ(base.size(), 6u) << scenario;
 
   for (int threads : {2, 8}) {
     config.runner.threads = threads;
-    const ExperimentResult other = run_experiment(config);
-    ASSERT_EQ(other.report.per_trial.size(), 6u) << scenario << " threads=" << threads;
+    const std::vector<SpreadResult> other = run_collecting(config);
+    ASSERT_EQ(other.size(), 6u) << scenario << " threads=" << threads;
     for (std::size_t i = 0; i < 6; ++i) {
       SCOPED_TRACE(scenario + " threads=" + std::to_string(threads) + " trial " +
                    std::to_string(i));
-      expect_results_identical(base.report.per_trial[i], other.report.per_trial[i]);
+      expect_results_identical(base[i], other[i]);
     }
   }
 }
@@ -201,18 +209,17 @@ TEST(TrialPoolDeterminism, ParallelRebuildsMatchSerial) {
   config.param_overrides = {{"n", "20000"}, {"d", "4"}, {"p", "0.5"}};
   config.runner.trials = 2;
   config.runner.seed = 5;
-  config.runner.keep_per_trial = true;
   config.runner.threads = 1;
-  const ExperimentResult serial = run_experiment(config);
-  ASSERT_EQ(serial.report.per_trial.size(), 2u);
-  ASSERT_GT(serial.report.per_trial[0].graph_changes, 0);  // rebuilds actually ran
+  const std::vector<SpreadResult> serial = run_collecting(config);
+  ASSERT_EQ(serial.size(), 2u);
+  ASSERT_GT(serial[0].graph_changes, 0);  // rebuilds actually ran
 
   config.runner.threads = 8;  // 2 trial workers x 4 rebuild threads
-  const ExperimentResult parallel = run_experiment(config);
-  ASSERT_EQ(parallel.report.per_trial.size(), 2u);
+  const std::vector<SpreadResult> parallel = run_collecting(config);
+  ASSERT_EQ(parallel.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     SCOPED_TRACE("trial " + std::to_string(i));
-    expect_results_identical(serial.report.per_trial[i], parallel.report.per_trial[i]);
+    expect_results_identical(serial[i], parallel[i]);
   }
 }
 
